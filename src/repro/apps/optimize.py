@@ -217,7 +217,7 @@ class _Frame:
     # consumed children prefix (only completable candidates are kept).
     content: Dict[str, FrozenSet[int]]
     # Per-arm path-automaton states for the path from the root to this
-    # node (backend-dependent; None marks a dead arm walk).
+    # node (compiled-table rows; None marks a dead arm walk).
     arm_states: Tuple[Optional[object], ...]
     root_index: int  # root-child index of the current path (-1 at the root)
 
@@ -241,8 +241,8 @@ class AdaptiveEvaluator:
         self.schema = schema
         self.engine = engine if engine is not None else get_default_engine()
         self.reach = self.engine.reach(schema)
-        # Arm path automata on the engine's backend (walk contract:
-        # step() returns None when the walk dies).
+        # Arm path tables (walk contract: step() returns None when the
+        # walk dies).
         self.arm_runners = [self.reach.path(arm) for arm in pattern.arms]
         self.matches: List[Match] = []
         # Seen matches per arm: set of root-child indexes.

@@ -2,10 +2,9 @@
 
 Every decision procedure in this reproduction bottoms out in membership,
 product emptiness, or containment questions on automata built from the
-schema and the query.  The classic NFA simulation (`repro.automata.nfa`)
-answers those questions over frozensets of states — flexible, but every
-step allocates and hashes.  This module lowers a hot automaton once into
-a :class:`CompiledDFA`:
+schema and the query.  Thompson NFAs (`repro.automata.nfa`) are the
+construction IR; this module lowers each one into the single automaton
+representation those decisions run on, a :class:`CompiledDFA`:
 
 * the alphabet is *interned* into a dense ``symbol -> id`` table
   (repr-sorted for determinism);
@@ -29,9 +28,6 @@ re-parsing schema text (see :mod:`repro.engine.artifact`).
 The dead-state convention travels through the layers above as
 ``Optional`` states: a walk that has died is ``None``, never a falsy
 state value (state ``0`` is a perfectly live integer state).
-:class:`NFARunner` gives the legacy NFA walk the same ``None``-is-dead
-contract so both backends are interchangeable behind
-``Engine(backend=...)``.
 """
 
 from __future__ import annotations
@@ -81,7 +77,7 @@ class CompiledDFA:
 
     Because dead states are pruned at build time, *every* stored state
     can still reach acceptance; this is what makes the word searches in
-    :mod:`repro.typing.satisfiability` prune for free on this backend.
+    :mod:`repro.typing.satisfiability` prune for free.
     """
 
     __slots__ = (
@@ -136,7 +132,7 @@ class CompiledDFA:
         self.__init__(symbols, columns, n_states, start, table, accepting)
 
     # ------------------------------------------------------------------
-    # The runner contract (shared with NFARunner): None is dead
+    # The walk contract: None is dead
     # ------------------------------------------------------------------
 
     def initial(self) -> Optional[int]:
@@ -327,54 +323,6 @@ class CompiledDFA:
             f"CompiledDFA(states={self.n_states}, symbols={self.n_symbols}, "
             f"empty={self.start < 0})"
         )
-
-
-class NFARunner:
-    """The legacy NFA subset walk behind the compiled runner contract.
-
-    States are frozensets of NFA states; a dead walk is ``None`` (never
-    an empty frozenset), matching :class:`CompiledDFA` so the decision
-    procedures can hold either backend without branching.
-    """
-
-    __slots__ = ("nfa", "_start", "_avail")
-
-    def __init__(self, nfa: NFA):
-        self.nfa = nfa
-        self._start: Optional[FrozenSet[int]] = None
-        self._avail: Dict[FrozenSet[int], Tuple[Symbol, ...]] = {}
-
-    def initial(self) -> Optional[FrozenSet[int]]:
-        if self._start is None:
-            self._start = self.nfa.initial_states()
-        return self._start
-
-    def step(
-        self, states: FrozenSet[int], symbol: Symbol
-    ) -> Optional[FrozenSet[int]]:
-        nxt = self.nfa.step(states, symbol)
-        return nxt if nxt else None
-
-    def is_accepting(self, states: FrozenSet[int]) -> bool:
-        return bool(states & self.nfa.accepting)
-
-    def available_symbols(self, states: FrozenSet[int]) -> Tuple[Symbol, ...]:
-        cached = self._avail.get(states)
-        if cached is None:
-            symbols = set()
-            for q in states:
-                for symbol, _dst in self.nfa.arcs_from(q):
-                    if symbol is not EPS:
-                        symbols.add(symbol)
-            cached = tuple(sorted(symbols))
-            self._avail[states] = cached
-        return cached
-
-    def member(self, word: Sequence[Symbol]) -> bool:
-        return self.nfa.accepts(word)
-
-    def __repr__(self) -> str:
-        return f"NFARunner({self.nfa!r})"
 
 
 # ----------------------------------------------------------------------
@@ -614,32 +562,6 @@ def compile_nfa(nfa: NFA) -> CompiledDFA:
         len(rows), n_cols, rows, accepting, start
     )
     return CompiledDFA(symbols, columns, n_states, new_start, table, accepting_bits)
-
-
-def compile_dfa(dfa) -> CompiledDFA:
-    """Lower an existing :class:`repro.automata.dfa.DFA` (tests, tools)."""
-    symbols = tuple(sorted(dfa.alphabet, key=repr))
-    # Symbols with identical transition vectors share one table column.
-    class_ids: Dict[Tuple[int, ...], int] = {}
-    columns: List[int] = []
-    col_symbols: List[Symbol] = []
-    for symbol in symbols:
-        vector = tuple(dfa.transition[(q, symbol)] for q in range(dfa.n_states))
-        cid = class_ids.get(vector)
-        if cid is None:
-            cid = len(col_symbols)
-            class_ids[vector] = cid
-            col_symbols.append(symbol)
-        columns.append(cid)
-    rows = [
-        [dfa.transition[(q, symbol)] for symbol in col_symbols]
-        for q in range(dfa.n_states)
-    ]
-    accepting = [q in dfa.accepting for q in range(dfa.n_states)]
-    n_states, start, table, accepting_bits = _minimize_rows(
-        dfa.n_states, len(col_symbols), rows, accepting, dfa.start
-    )
-    return CompiledDFA(symbols, tuple(columns), n_states, start, table, accepting_bits)
 
 
 def run_with_choices_compiled(

@@ -1,14 +1,17 @@
-"""Deterministic finite automata: subset construction, minimization, complement.
+"""Total DFAs: subset construction and complement — the test reference.
 
 DFAs are *total*: every (state, symbol) pair has a successor, using an
-explicit sink state where needed.  Totality makes complementation a matter of
-flipping the accepting set, which is how language containment and schema
-subsumption are decided elsewhere in the library.
+explicit sink state where needed.  Totality makes complementation a matter
+of flipping the accepting set, which is how :func:`repro.automata.ops.is_subset`
+decides containment.  No production decision runs on this module: they
+all run on :class:`repro.automata.compiled.CompiledDFA` tables, and the
+determinize/complement route survives as the independent reference the
+tests and the differential fuzzer compare those tables against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .nfa import NFA
 from .syntax import Symbol
@@ -114,37 +117,6 @@ class DFA:
         for (src, symbol), dst in self.transition.items():
             transitions.setdefault(src, []).append((symbol, dst))
         return NFA(self.n_states, self.alphabet, self.start, self.accepting, transitions)
-
-    def minimize(self) -> "DFA":
-        """Return the minimal DFA for the same language (Moore's algorithm)."""
-        reachable = sorted(self.reachable_states())
-        index = {state: i for i, state in enumerate(reachable)}
-        # Initial partition: accepting vs non-accepting.
-        block = [0 if state in self.accepting else 1 for state in reachable]
-        symbols = sorted(self.alphabet, key=repr)
-        while True:
-            signature = {}
-            new_block = []
-            next_id = 0
-            for i, state in enumerate(reachable):
-                key = (block[i],) + tuple(
-                    block[index[self.transition[(state, symbol)]]] for symbol in symbols
-                )
-                if key not in signature:
-                    signature[key] = next_id
-                    next_id = next_id + 1
-                new_block.append(signature[key])
-            if new_block == block:
-                break
-            block = new_block
-        n_states = max(block) + 1 if block else 1
-        transition = {}
-        for i, state in enumerate(reachable):
-            for symbol in symbols:
-                transition[(block[i], symbol)] = block[index[self.transition[(state, symbol)]]]
-        accepting = {block[i] for i, state in enumerate(reachable) if state in self.accepting}
-        start = block[index[self.start]]
-        return DFA(n_states, self.alphabet, start, accepting, transition)
 
     def __repr__(self) -> str:
         return f"DFA(states={self.n_states}, alphabet={len(self.alphabet)})"

@@ -133,7 +133,7 @@ def run_items_shared(
 _WORKER: dict = {}
 
 
-def _process_init(operation: str, payload, backend: str) -> None:
+def _process_init(operation: str, payload) -> None:
     """Pool initializer: install the parent's compiled artifact.
 
     ``payload`` is one of:
@@ -153,11 +153,11 @@ def _process_init(operation: str, payload, backend: str) -> None:
     """
     if payload is None:
         schema: Optional[Schema] = None
-        engine = Engine(backend=backend)
+        engine = Engine()
     elif isinstance(payload, dict):
         from ..engine import ArtifactStore
 
-        store = ArtifactStore(root=payload["cache_dir"], backend=backend)
+        store = ArtifactStore(root=payload["cache_dir"])
         artifact = store.get(payload["fingerprint"])
         if artifact is not None:
             engine = artifact.install()
@@ -166,7 +166,7 @@ def _process_init(operation: str, payload, backend: str) -> None:
             from .plan import compile_schema
 
             schema, engine = compile_schema(
-                payload["schema_text"], payload["syntax"], payload["wrap"], backend
+                payload["schema_text"], payload["syntax"], payload["wrap"]
             )
     else:
         artifact = EngineArtifact.from_bytes(payload)
@@ -211,11 +211,6 @@ def run_items_process(
     if schema is not None:
         artifact = EngineArtifact.capture(engine, schema)
         if store is not None:
-            if store.backend != engine.backend:
-                raise ValueError(
-                    f"artifact store holds backend {store.backend!r} but the "
-                    f"plan compiled for {engine.backend!r}"
-                )
             store.put(artifact, syntax=plan.syntax)
             payload = {
                 "cache_dir": str(store.root),
@@ -232,7 +227,7 @@ def run_items_process(
     with ProcessPoolExecutor(
         max_workers=min(workers, len(chunks)),
         initializer=_process_init,
-        initargs=(plan.operation, payload, engine.backend),
+        initargs=(plan.operation, payload),
     ) as pool:
         for envelopes in pool.map(_process_chunk, chunks):
             for envelope in envelopes:

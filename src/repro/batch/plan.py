@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..data import from_xml, parse_data
-from ..engine import Engine, resolve_backend
+from ..engine import Engine
 from ..query import evaluate, parse_query
 from ..schema import Schema, find_type_assignment, parse_dtd, parse_schema
 from ..service.envelope import ServiceError, as_service_error, positive_int_field
@@ -68,8 +68,6 @@ class BatchPlan:
     schema_text: Optional[str] = None
     syntax: str = "scmdl"
     wrap: bool = False
-    #: Automata backend for the plan's engines (None = env / default).
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.operation not in OPERATIONS:
@@ -77,8 +75,6 @@ class BatchPlan:
                 f"unknown batch operation {self.operation!r} "
                 f"(expected one of {', '.join(OPERATIONS)})"
             )
-        if self.backend is not None:
-            resolve_backend(self.backend)  # validate eagerly
         if not self.items:
             raise ValueError("a batch plan needs at least one item")
         if self.schema_text is None and self.operation != "evaluate":
@@ -99,7 +95,7 @@ class BatchPlan:
         compiled artifacts to its workers (see
         :func:`repro.batch.executors.run_items_process`).
         """
-        return compile_schema(self.schema_text, self.syntax, self.wrap, self.backend)
+        return compile_schema(self.schema_text, self.syntax, self.wrap)
 
     def parse_schema_only(self) -> Optional[Schema]:
         """Parse (without pre-warming) to surface syntax errors early —
@@ -116,10 +112,9 @@ def compile_schema(
     schema_text: Optional[str],
     syntax: str = "scmdl",
     wrap: bool = False,
-    backend: Optional[str] = None,
 ) -> Tuple[Optional[Schema], Engine]:
     """Parse ``schema_text`` and pre-warm a dedicated engine for it."""
-    engine = Engine(backend=backend)
+    engine = Engine()
     if schema_text is None:
         return None, engine
     if syntax == "dtd":

@@ -301,8 +301,8 @@ def cmd_diff(args: argparse.Namespace) -> Outcome:
                     )
                 queries.append(item)
 
-    engine_old = Engine(backend=args.backend)
-    engine_new = Engine(backend=args.backend)
+    engine_old = Engine()
+    engine_new = Engine()
     delta = diff_schemas(old, new, engine=engine_new)
     report = analyze_migration(
         old,
@@ -313,8 +313,6 @@ def cmd_diff(args: argparse.Namespace) -> Outcome:
         engine_new=engine_new,
         delta=delta,
     )
-    # The payload is deliberately backend-free: both automata backends
-    # must produce byte-identical envelopes (CI compares them with cmp).
     result = report.to_dict()
     if not args.json:
         print(f"old: {delta.old_fingerprint}")
@@ -352,11 +350,9 @@ def cmd_fuzz(args: argparse.Namespace) -> Outcome:
         budget=args.budget,
         sections=sections,
         max_len=args.max_len,
-        backend=args.backend,
     )
     result = report.to_dict()
     if not args.json:
-        print(f"backend: {report.backend}")
         for name in report.sections:
             skipped = report.skipped.get(name, 0)
             note = f" ({skipped} skipped)" if skipped else ""
@@ -406,7 +402,6 @@ def cmd_batch(args: argparse.Namespace) -> Outcome:
             schema_text=schema_text,
             syntax=syntax,
             wrap=bool(args.wrap),
-            backend=args.backend,
         )
         outcome = run_batch(
             plan,
@@ -455,7 +450,7 @@ def _resolve_store(args: argparse.Namespace, required: bool = False):
         if not required:
             return None
         cache_dir = default_cache_dir()
-    return ArtifactStore(root=cache_dir, backend=getattr(args, "backend", None))
+    return ArtifactStore(root=cache_dir)
 
 
 def cmd_warm(args: argparse.Namespace) -> Outcome:
@@ -480,7 +475,7 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
         raise UsageError("nothing to warm: give schema files and/or --generate N")
 
     def bake(schema) -> EngineArtifact:
-        engine = Engine(backend=args.backend)
+        engine = Engine()
         prewarm(schema, engine)
         return EngineArtifact.capture(engine, schema)
 
@@ -521,7 +516,6 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
 
     result = {
         "cache_dir": str(store.root),
-        "backend": store.backend,
         "schemas_total": len(sources),
         "written": written,
         "hits": hits,
@@ -573,8 +567,7 @@ def cmd_serve(args: argparse.Namespace) -> Outcome:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            store_dir=store.dir if store is not None else None,
-            backend=getattr(args, "backend", None),
+            store_dir=str(store.root) if store is not None else None,
             limits=limits,
             max_schemas=args.max_schemas,
         )
@@ -780,14 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="for *.dtd inputs: add the synthetic document root",
     )
-    diff_cmd.add_argument(
-        "--backend",
-        choices=("nfa", "compiled"),
-        default=None,
-        help="automata backend for the analysis engines; the JSON envelope "
-        "is byte-identical across backends "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
-    )
 
     fuzz_cmd = add_command(
         "fuzz",
@@ -807,20 +792,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--sections",
         default=None,
         help="comma-separated subset: automata,containment,eval,"
-        "conformance,compiled,backend,delta",
+        "conformance,compiled,satisfiable,delta",
     )
     fuzz_cmd.add_argument(
         "--max-len",
         type=int,
         default=None,
         help="word-length bound for the automata/containment/compiled oracles",
-    )
-    fuzz_cmd.add_argument(
-        "--backend",
-        choices=("nfa", "compiled"),
-        default=None,
-        help="automata backend the production procedures run on "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
     )
 
     batch_cmd = add_command(
@@ -860,13 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="items per process-pool chunk (default: auto)",
     )
     batch_cmd.add_argument(
-        "--backend",
-        choices=("nfa", "compiled"),
-        default=None,
-        help="automata backend for the batch engines "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
-    )
-    batch_cmd.add_argument(
         "--cache-dir",
         default=None,
         help="persistent artifact store; process-pool workers load the "
@@ -903,13 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="store directory (default: $REPRO_CACHE_DIR, else ~/.cache/repro)",
-    )
-    warm_cmd.add_argument(
-        "--backend",
-        choices=("nfa", "compiled"),
-        default=None,
-        help="automata backend to bake for "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
     )
     warm_cmd.add_argument(
         "--check",
@@ -964,13 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent artifact store: registrations persist compiled "
         "artifacts here and a restarted daemon restores them "
         "(default: $REPRO_CACHE_DIR if set, else disabled)",
-    )
-    serve_cmd.add_argument(
-        "--backend",
-        choices=("nfa", "compiled"),
-        default=None,
-        help="automata backend for the artifact store "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
     )
 
     replay_cmd = add_command(

@@ -11,14 +11,7 @@ the constructions behind those keys in a bounded, instrumented
 
 from .artifact import ARTIFACT_VERSION, ArtifactError, EngineArtifact, prewarm_schema
 from .cache import CacheStats, EngineCache, KindStats
-from .core import (
-    BACKENDS,
-    BACKEND_ENV_VAR,
-    Engine,
-    get_default_engine,
-    resolve_backend,
-    set_default_engine,
-)
+from .core import Engine, get_default_engine, set_default_engine
 from .store import (
     CACHE_DIR_ENV_VAR,
     DEFAULT_MAX_BYTES,
@@ -31,8 +24,6 @@ __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactError",
     "ArtifactStore",
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
     "CACHE_DIR_ENV_VAR",
     "CacheStats",
     "DEFAULT_MAX_BYTES",
@@ -43,7 +34,6 @@ __all__ = [
     "default_cache_dir",
     "get_default_engine",
     "prewarm_schema",
-    "resolve_backend",
     "set_default_engine",
     "version_tag",
 ]

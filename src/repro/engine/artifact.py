@@ -26,11 +26,11 @@ from __future__ import annotations
 import pickle
 from typing import Dict, Hashable, Optional
 
-from .core import Engine, resolve_backend
+from .core import Engine
 
 #: Bump when the captured payload layout (or the pickle format of any
 #: shipped value type) changes incompatibly.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 class ArtifactError(ValueError):
@@ -74,10 +74,9 @@ class EngineArtifact:
     worker's engine.
     """
 
-    __slots__ = ("backend", "schema", "entries")
+    __slots__ = ("schema", "entries")
 
-    def __init__(self, backend: str, schema, entries: Dict[Hashable, object]):
-        self.backend = resolve_backend(backend)
+    def __init__(self, schema, entries: Dict[Hashable, object]):
         self.schema = schema
         self.entries = entries
 
@@ -92,7 +91,7 @@ class EngineArtifact:
         """
         entries = engine.cache.snapshot(_shippable)
         ordered = {key: entries[key] for key in sorted(entries, key=repr)}
-        return cls(engine.backend, schema, ordered)
+        return cls(schema, ordered)
 
     def fingerprint(self) -> str:
         """The carried schema's fingerprint (the store's key for us)."""
@@ -101,7 +100,7 @@ class EngineArtifact:
     def install(self, engine: Optional[Engine] = None) -> Engine:
         """Seed the artifact into ``engine`` (a fresh one by default)."""
         if engine is None:
-            engine = Engine(backend=self.backend)
+            engine = Engine()
         engine.cache.seed(self.entries)
         return engine
 
@@ -109,7 +108,6 @@ class EngineArtifact:
         return pickle.dumps(
             {
                 "version": ARTIFACT_VERSION,
-                "backend": self.backend,
                 "schema": self.schema,
                 "entries": self.entries,
             },
@@ -148,7 +146,6 @@ class EngineArtifact:
         from ..schema.model import Schema  # lazy: schema imports automata
 
         try:
-            backend = payload["backend"]
             schema = payload["schema"]
             entries = payload["entries"]
         except KeyError as error:
@@ -165,28 +162,23 @@ class EngineArtifact:
                 f"engine artifact entries field holds "
                 f"{type(entries).__name__}, not a dict"
             )
-        try:
-            return cls(backend, schema, entries)
-        except Exception as error:  # resolve_backend: unknown backend
-            raise ArtifactError(str(error)) from None
+        return cls(schema, entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __repr__(self) -> str:
         return (
-            f"EngineArtifact(backend={self.backend!r}, "
-            f"schema={self.schema.root!r}, entries={len(self.entries)})"
+            f"EngineArtifact(schema={self.schema.root!r}, entries={len(self.entries)})"
         )
 
 
 def prewarm_schema(engine: Engine, schema) -> None:
     """Compile everything schema-derived that workers will need.
 
-    Forces the schema graph, the inhabited set, and — on the compiled
-    backend — the content tables of every collection type, so a
-    subsequent :meth:`EngineArtifact.capture` has the full per-schema
-    working set to ship.
+    Forces the schema graph, the inhabited set, and the content tables of
+    every collection type, so a subsequent :meth:`EngineArtifact.capture`
+    has the full per-schema working set to ship.
     """
     engine.symbol_alphabet(schema)
     engine.inhabited_types(schema)
@@ -194,9 +186,5 @@ def prewarm_schema(engine: Engine, schema) -> None:
     for type_def in schema:
         if type_def.is_atomic:
             continue
-        if engine.backend == "compiled":
-            engine.compiled_content(schema, type_def.tid)
-            engine.compiled_restricted_content(schema, type_def.tid)
-        else:
-            engine.content_nfa(schema, type_def.tid)
-            engine.restricted_content_nfa(schema, type_def.tid)
+        engine.compiled_content(schema, type_def.tid)
+        engine.compiled_restricted_content(schema, type_def.tid)

@@ -22,36 +22,12 @@ scope without cycles.
 
 from __future__ import annotations
 
-import os
-from typing import FrozenSet, Iterable, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, Optional, Tuple
 
-from ..automata.compiled import CompiledDFA, NFARunner, compile_nfa
+from ..automata.compiled import CompiledDFA, compile_nfa
 from ..automata.nfa import NFA, thompson as _thompson
 from ..automata.syntax import Regex, Symbol
 from .cache import CacheStats, EngineCache
-
-#: The automata backends an engine can run its decision walks on.
-BACKENDS: Tuple[str, ...] = ("nfa", "compiled")
-
-#: Environment override for the default backend (worker processes and
-#: benchmarks set it so child engines inherit the parent's choice).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: Either side of the runner contract (see repro.automata.compiled):
-#: step() returns None when the walk dies, never a falsy state.
-Runner = Union[CompiledDFA, NFARunner]
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate an explicit backend or fall back to env / the default."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "compiled"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r} (expected one of {', '.join(BACKENDS)})"
-        )
-    return backend
-
 
 class Engine:
     """A handle bundling a memoizing cache with the automata constructions.
@@ -67,16 +43,9 @@ class Engine:
         self,
         cache: Optional[EngineCache] = None,
         max_entries: Optional[int] = 4096,
-        backend: Optional[str] = None,
         store=None,
     ):
         self.cache = cache if cache is not None else EngineCache(max_entries)
-        #: Which automata implementation the decision procedures walk:
-        #: ``"compiled"`` (minimized table-driven DFAs, the default) or
-        #: ``"nfa"`` (the legacy subset simulation, kept for differential
-        #: testing).  Resolution order: explicit argument, then the
-        #: ``REPRO_BACKEND`` environment variable, then ``"compiled"``.
-        self.backend = resolve_backend(backend)
         #: Optional :class:`repro.engine.store.ArtifactStore` backing this
         #: engine's per-schema compiles (the durable tier behind the
         #: in-memory cache; see :meth:`warm_from_store`).
@@ -228,34 +197,6 @@ class Engine:
             return compile_nfa(schema_trace_nfa(schema, root_tid, arm_count, engine=self))
 
         return self.cache.get_or_compute(key, build)
-
-    # ------------------------------------------------------------------
-    # Backend-resolved runners (None-is-dead walk contract)
-    # ------------------------------------------------------------------
-
-    def path_runner(self, regex: Regex, alphabet: Iterable[Symbol]) -> Runner:
-        """A walkable automaton for a path regex on this engine's backend."""
-        alphabet = frozenset(alphabet)
-        if self.backend == "compiled":
-            return self.compiled_path(regex, alphabet)
-        key = ("path-runner", regex, alphabet)
-        return self.cache.get_or_compute(
-            key, lambda: NFARunner(self.thompson(regex, alphabet))
-        )
-
-    def content_runner(self, schema, tid: str, restricted: bool = True) -> Runner:
-        """A walkable content automaton for ``tid`` on this backend."""
-        if self.backend == "compiled":
-            if restricted:
-                return self.compiled_restricted_content(schema, tid)
-            return self.compiled_content(schema, tid)
-        key = ("content-runner", schema.fingerprint(), tid, restricted)
-        build_nfa = (
-            self.restricted_content_nfa if restricted else self.content_nfa
-        )
-        return self.cache.get_or_compute(
-            key, lambda: NFARunner(build_nfa(schema, tid))
-        )
 
     # ------------------------------------------------------------------
     # The durable tier (memory miss → store hit → install)

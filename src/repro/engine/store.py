@@ -11,8 +11,8 @@ Layout
 
 One artifact per registered schema, keyed by the schema fingerprint::
 
-    <cache-dir>/<version-tag>/<backend>/<fingerprint>.art    pickle payload
-    <cache-dir>/<version-tag>/<backend>/<fingerprint>.json   index sidecar
+    <cache-dir>/<version-tag>/<fingerprint>.art    pickle payload
+    <cache-dir>/<version-tag>/<fingerprint>.json   index sidecar
 
 The version tag folds together :data:`~repro.automata.compiled.PICKLE_VERSION`,
 :data:`~repro.engine.artifact.ARTIFACT_VERSION`, and the library version,
@@ -21,12 +21,13 @@ layout simply looks in a different directory and never reads a stale
 blob.  Opening a store reaps superseded version directories — only
 names matching the tag scheme, only versions strictly older than this
 process, and only when unused for :data:`SWEEP_GRACE_SECONDS` — and
-counts their blobs as invalidations.  Anything else under the cache
-root (say, the rest of ``~/.cache`` if the user points the store at a
-shared directory) is never touched.
+counts their blobs as invalidations, at any depth (tags before ``art2``
+nested their blobs one directory level deeper).  Anything else under
+the cache root (say, the rest of ``~/.cache`` if the user points the
+store at a shared directory) is never touched.
 
-The JSON sidecar records the schema hash, backend, entry count, byte
-size, and creation time — enough for ``repro warm`` and ``/stats`` to
+The JSON sidecar records the schema hash, entry count, byte size, and
+creation time — enough for ``repro warm`` and ``/stats`` to
 describe the store without unpickling anything.
 
 Durability rules
@@ -34,13 +35,14 @@ Durability rules
 
 * **Atomic writes.**  Payloads land via tmp-file + ``os.replace``, so a
   concurrent reader never observes a half-written artifact and two
-  processes warming the same schema race benignly (last writer wins with
-  byte-identical content).
+  writers storing the same schema race benignly (last writer wins with
+  byte-identical content).  Each writer's tmp name carries its pid *and*
+  thread id, so threads of one process never share a tmp file.
 * **Corruption is a miss, never a crash.**  A truncated, foreign, or
   stale blob bumps the ``corrupt`` counter, is deleted, and reads as a
   miss; the caller recompiles exactly as if the store were cold.
 * **Bounded size.**  ``max_bytes`` caps the payload bytes per
-  ``<version-tag>/<backend>`` directory; the least-recently-*used*
+  ``<version-tag>`` directory; the least-recently-*used*
   artifact (mtime order — hits refresh mtime) is evicted first.
 """
 
@@ -58,12 +60,11 @@ from typing import Dict, List, Optional, Tuple
 from .. import __version__ as _library_version
 from ..automata.compiled import PICKLE_VERSION
 from .artifact import ARTIFACT_VERSION, ArtifactError, EngineArtifact
-from .core import resolve_backend
 
 #: Environment variable naming the cache directory (CLI/daemon default).
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
-#: Default size bound per <version>/<backend> directory (payload bytes).
+#: Default size bound per <version-tag> directory (payload bytes).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Version directories used within this window are never swept, so an
@@ -116,8 +117,6 @@ class ArtifactStore:
 
     Args:
         root: cache directory (default: :func:`default_cache_dir`).
-        backend: automata backend whose artifacts this store holds
-            (resolved like :class:`~repro.engine.Engine`'s backend).
         max_bytes: payload-byte bound for this store's directory; the
             oldest-mtime artifact is evicted once a put would exceed it.
         sweep_stale: reap superseded version directories at open time
@@ -131,17 +130,15 @@ class ArtifactStore:
     def __init__(
         self,
         root: Optional[os.PathLike] = None,
-        backend: Optional[str] = None,
         max_bytes: int = DEFAULT_MAX_BYTES,
         sweep_stale: bool = True,
     ):
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.backend = resolve_backend(backend)
         self.max_bytes = max_bytes
         self.tag = version_tag()
-        self.dir = self.root / self.tag / self.backend
+        self.dir = self.root / self.tag
         self.dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._hits = 0
@@ -200,7 +197,7 @@ class ArtifactStore:
             key = _tag_sort_key(child.name)
             if key is None or current is None or not key < current:
                 continue  # not a version dir of ours, or not superseded
-            blobs = list(child.glob("*/*.art"))
+            blobs = list(child.rglob("*.art"))
             try:
                 newest = max(
                     [child.stat().st_mtime]
@@ -239,11 +236,6 @@ class ArtifactStore:
             return None
         try:
             artifact = EngineArtifact.from_bytes(data)
-            if artifact.backend != self.backend:
-                raise ArtifactError(
-                    f"stored artifact speaks backend {artifact.backend!r}, "
-                    f"store expects {self.backend!r}"
-                )
             if artifact.fingerprint() != fingerprint:
                 raise ArtifactError(
                     f"stored artifact fingerprint {artifact.fingerprint()!r} "
@@ -315,20 +307,15 @@ class ArtifactStore:
         observe complete payloads; the sidecar is written after the blob
         (it is advisory — a missing sidecar never blocks a load).
         """
-        if artifact.backend != self.backend:
-            raise ValueError(
-                f"artifact speaks backend {artifact.backend!r}, "
-                f"store holds {self.backend!r}"
-            )
         fingerprint = artifact.fingerprint()
         payload = data if data is not None else artifact.to_bytes()
         path = self.path_for(fingerprint)
-        tmp = path.with_suffix(f".tmp-{os.getpid()}")
+        writer = f"{os.getpid()}-{threading.get_ident()}"
+        tmp = path.with_suffix(f".tmp-{writer}")
         tmp.write_bytes(payload)
         os.replace(tmp, path)
         index = {
             "fingerprint": fingerprint,
-            "backend": self.backend,
             "syntax": syntax,
             "schema_root": artifact.schema.root,
             "entries": len(artifact),
@@ -338,7 +325,7 @@ class ArtifactStore:
             "artifact_version": ARTIFACT_VERSION,
             "library_version": _library_version,
         }
-        meta_tmp = self._meta_path(fingerprint).with_suffix(f".jtmp-{os.getpid()}")
+        meta_tmp = self._meta_path(fingerprint).with_suffix(f".jtmp-{writer}")
         meta_tmp.write_text(json.dumps(index, indent=2) + "\n")
         os.replace(meta_tmp, self._meta_path(fingerprint))
         with self._lock:
@@ -422,7 +409,6 @@ class ArtifactStore:
         with self._lock:
             return {
                 "dir": str(self.dir),
-                "backend": self.backend,
                 "version_tag": self.tag,
                 "artifacts": count,
                 "bytes": total,
@@ -438,6 +424,6 @@ class ArtifactStore:
 
     def __repr__(self) -> str:
         return (
-            f"ArtifactStore(dir={str(self.dir)!r}, backend={self.backend!r}, "
+            f"ArtifactStore(dir={str(self.dir)!r}, "
             f"artifacts={len(self)})"
         )

@@ -32,12 +32,13 @@ from ..automata.nfa import NFA, thompson
 from ..automata.ops import equivalent, intersect, is_subset, to_regex
 from ..automata.syntax import Regex
 from ..data.model import DataGraph
-from ..engine import Engine, resolve_backend, set_default_engine
+from ..engine import Engine, set_default_engine
 from ..query.eval import evaluate
 from ..query.model import Query
 from ..schema.conformance import conforms
 from ..schema.model import Schema
 from ..typing.satisfiability import is_satisfiable
+from ..typing.witness import find_witness
 from ..workloads.generators import (
     DEFAULT_ALPHABET,
     random_graph,
@@ -47,7 +48,7 @@ from ..workloads.generators import (
 )
 from ..workloads.instances import random_instance
 from .conformance import exhaustive_conforms
-from .eval import naive_evaluate
+from .eval import naive_evaluate, naive_satisfies
 from .rex import all_words, bounded_subset, brz_accepts
 from .shrink import (
     graph_candidates,
@@ -64,7 +65,7 @@ _SALTS: Dict[str, int] = {
     "eval": 307,
     "conformance": 401,
     "compiled": 503,
-    "backend": 601,
+    "satisfiable": 601,
     "delta": 701,
 }
 
@@ -80,7 +81,7 @@ class Discrepancy:
     section: str
     case: int
     seed: int
-    check: str  #: which cross-check failed (e.g. ``minimize``, ``is_subset``)
+    check: str  #: which cross-check failed (e.g. ``determinize``, ``is_subset``)
     detail: str  #: human-readable description of the disagreement
     inputs: Dict[str, str]  #: repr of the *shrunken* inputs
 
@@ -102,7 +103,6 @@ class FuzzReport:
     seed: int
     budget: int
     sections: Tuple[str, ...]
-    backend: str = "compiled"
     cases: Dict[str, int] = field(default_factory=dict)
     skipped: Dict[str, int] = field(default_factory=dict)
     discrepancies: List[Discrepancy] = field(default_factory=list)
@@ -115,7 +115,6 @@ class FuzzReport:
         return {
             "seed": self.seed,
             "budget": self.budget,
-            "backend": self.backend,
             "sections": list(self.sections),
             "cases": dict(self.cases),
             "skipped": dict(self.skipped),
@@ -137,11 +136,10 @@ def run_automata_section(
     *,
     thompson_fn: Callable[..., NFA] = thompson,
     determinize_fn: Callable[[NFA], DFA] = determinize,
-    minimize_fn: Callable[[DFA], DFA] = DFA.minimize,
     complement_fn: Callable[[DFA], DFA] = DFA.complement,
     to_regex_fn: Callable[[NFA], Regex] = to_regex,
 ) -> Tuple[List[Discrepancy], int, int]:
-    """Cross-check thompson/determinize/minimize/complement/to_regex.
+    """Cross-check thompson/determinize/complement/to_regex.
 
     For every random regex, every word up to ``max_len`` is classified by
     iterated Brzozowski derivatives; each pipeline stage must agree
@@ -153,13 +151,11 @@ def run_automata_section(
     def stages(regex: Regex):
         nfa = thompson_fn(regex, alphabet)
         dfa = determinize_fn(nfa)
-        mdfa = minimize_fn(dfa)
-        comp = complement_fn(mdfa)
+        comp = complement_fn(dfa)
         round_trip = thompson_fn(to_regex_fn(nfa), alphabet)
         return [
             ("thompson", nfa.accepts, False),
             ("determinize", dfa.accepts, False),
-            ("minimize", mdfa.accepts, False),
             ("complement", comp.accepts, True),
             ("to_regex", round_trip.accepts, False),
         ]
@@ -576,109 +572,127 @@ def run_compiled_section(
 
 
 # ----------------------------------------------------------------------
-# Section 6: backend agreement on whole decision procedures
+# Section 6: satisfiability vs witnesses and sampled instances
 # ----------------------------------------------------------------------
 
 
-def run_backend_section(
+def run_satisfiable_section(
     seed: int,
     cases: int,
     *,
     satisfiable_fn: Callable[..., bool] = is_satisfiable,
-    conforms_fn: Callable[..., bool] = conforms,
 ) -> Tuple[List[Discrepancy], int, int]:
-    """The legacy-NFA and compiled engines must decide identically.
+    """Cross-check ``is_satisfiable`` against independent evidence.
 
-    Each case draws a random schema plus a random query (satisfiability)
-    and a data graph (conformance; half sampled from the schema itself)
-    and runs both procedures once per backend on fresh engines.  Any
-    split verdict is a bug in the compile pipeline or in the legacy walk
-    — by construction there is no third oracle here, only agreement.
+    Each case draws a random schema and query.  A positive verdict on
+    the :func:`~repro.typing.witness.find_witness` fragment (join-free,
+    ordered definitions) must come with a witness graph that both
+    brute-force oracles accept: the query matches it per
+    :func:`~repro.oracle.eval.naive_satisfies`, and it is an instance
+    per :func:`~repro.oracle.conformance.exhaustive_conforms`.  A
+    negative verdict is refuted by any of three sampled instances
+    (:func:`~repro.workloads.instances.random_instance`) the query
+    matches.  Positive verdicts outside the fragment, and witnesses too
+    large for the exhaustive oracle, count as skipped.
     """
     found: List[Discrepancy] = []
     skipped = 0
 
-    def split_verdict(schema: Schema, query: Query) -> Optional[str]:
-        on_nfa = bool(satisfiable_fn(query, schema, None, Engine(backend="nfa")))
-        on_compiled = bool(
-            satisfiable_fn(query, schema, None, Engine(backend="compiled"))
-        )
-        if on_nfa == on_compiled:
+    def failure(
+        schema: Schema, query: Query, instances: Sequence[DataGraph]
+    ) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        """The first piece of evidence against the verdict, or None.
+
+        Raises ValueError when the case cannot be judged (see above).
+        """
+        if satisfiable_fn(query, schema):
+            witness = find_witness(query, schema)  # WitnessError: ValueError
+            if witness is None:
+                return (
+                    "witness",
+                    "is_satisfiable says True, but find_witness builds no "
+                    "witness",
+                    {},
+                )
+            if not naive_satisfies(query, witness):
+                return (
+                    "witness",
+                    "is_satisfiable says True, but the query does not match "
+                    "its witness",
+                    {"witness": _graph_repr(witness)},
+                )
+            if not exhaustive_conforms(witness, schema):
+                return (
+                    "witness",
+                    "is_satisfiable says True, but its witness is not an "
+                    "instance of the schema",
+                    {"witness": _graph_repr(witness)},
+                )
             return None
-        return (
-            f"is_satisfiable: nfa backend says {on_nfa}, compiled backend "
-            f"says {on_compiled}"
-        )
+        for graph in instances:
+            if naive_satisfies(query, graph):
+                return (
+                    "refuted",
+                    "is_satisfiable says False, but the query matches a "
+                    "sampled instance of the schema",
+                    {"instance": _graph_repr(graph)},
+                )
+        return None
+
+    def fails(schema, query, instances, check) -> bool:
+        try:
+            result = failure(schema, query, instances)
+        except ValueError:
+            return False
+        return result is not None and result[0] == check
 
     for case in range(cases):
-        rng = _case_rng(seed, "backend", case)
+        rng = _case_rng(seed, "satisfiable", case)
         schema = random_schema(rng, n_types=rng.randint(2, 4))
         query = random_query(rng, max_node_vars=3)
+        instances: List[DataGraph] = []
         try:
-            detail = split_verdict(schema, query)
+            for _ in range(3):
+                graph = random_instance(schema, rng, max_depth=6, max_repeat=2)
+                # naive_satisfies enumerates |nodes|^|variables| bindings.
+                if len(graph.nodes) <= 12:
+                    instances.append(graph)
+        except ValueError:
+            pass  # uninhabited root: no instance can refute a "no"
+        try:
+            result = failure(schema, query, instances)
         except ValueError:
             skipped += 1
-            detail = None
-        if detail is not None:
-            small_query = greedy_shrink(
-                query,
-                query_candidates,
-                lambda q: _safe_split(split_verdict, schema, q),
+            continue
+        if result is None:
+            continue
+        check = result[0]
+        small_query = greedy_shrink(
+            query,
+            query_candidates,
+            lambda q: fails(schema, q, instances, check),
+        )
+        try:
+            final = failure(schema, small_query, instances)
+        except ValueError:
+            final = None
+        _check, detail, extra = final if final is not None else result
+        inputs = {
+            "schema": "; ".join(repr(schema.type(t)) for t in schema.tids()),
+            "query": _query_repr(small_query),
+        }
+        inputs.update(extra)
+        found.append(
+            Discrepancy(
+                section="satisfiable",
+                case=case,
+                seed=seed,
+                check=check,
+                detail=detail,
+                inputs=inputs,
             )
-            final_detail = None
-            try:
-                final_detail = split_verdict(schema, small_query)
-            except ValueError:
-                pass
-            found.append(
-                Discrepancy(
-                    section="backend",
-                    case=case,
-                    seed=seed,
-                    check="is_satisfiable",
-                    detail=final_detail or detail,
-                    inputs={
-                        "schema": "; ".join(
-                            repr(schema.type(t)) for t in schema.tids()
-                        ),
-                        "query": _query_repr(small_query),
-                    },
-                )
-            )
-
-        if rng.random() < 0.5:
-            graph = random_instance(schema, rng, max_depth=6, max_repeat=2)
-        else:
-            graph = random_graph(rng, max_nodes=4)
-        on_nfa = bool(conforms_fn(graph, schema, Engine(backend="nfa")))
-        on_compiled = bool(conforms_fn(graph, schema, Engine(backend="compiled")))
-        if on_nfa != on_compiled:
-            found.append(
-                Discrepancy(
-                    section="backend",
-                    case=case,
-                    seed=seed,
-                    check="conforms",
-                    detail=(
-                        f"conforms: nfa backend says {on_nfa}, compiled "
-                        f"backend says {on_compiled}"
-                    ),
-                    inputs={
-                        "schema": "; ".join(
-                            repr(schema.type(t)) for t in schema.tids()
-                        ),
-                        "graph": _graph_repr(graph),
-                    },
-                )
-            )
+        )
     return found, cases, skipped
-
-
-def _safe_split(split_verdict, schema: Schema, query: Query) -> bool:
-    try:
-        return split_verdict(schema, query) is not None
-    except ValueError:
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -839,7 +853,7 @@ SECTIONS: Dict[str, Callable[[int, int], Tuple[List[Discrepancy], int, int]]] = 
     "eval": run_eval_section,
     "conformance": run_conformance_section,
     "compiled": run_compiled_section,
-    "backend": run_backend_section,
+    "satisfiable": run_satisfiable_section,
     "delta": run_delta_section,
 }
 
@@ -852,7 +866,6 @@ def run_fuzz(
     budget: int = 200,
     sections: Optional[Sequence[str]] = None,
     max_len: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> FuzzReport:
     """Run the differential sections; return an aggregated report.
 
@@ -862,12 +875,10 @@ def run_fuzz(
         sections: subset of :data:`SECTIONS` keys (default: all).
         max_len: override the word-length bound of the bounded-oracle
             sections (their defaults otherwise).
-        backend: automata backend the *production* procedures run on for
-            this call (``"nfa"`` or ``"compiled"``; None = env/default).
-            Implemented by swapping the process default engine for the
-            duration of the run, so every default-engine call site is
-            covered.  The ``backend`` section always compares both
-            backends regardless of this setting.
+
+    The production procedures run on a fresh process default engine for
+    the duration of the call, so no cached artifact of an earlier call
+    can mask a fault.
     """
     chosen = tuple(sections) if sections is not None else tuple(SECTIONS)
     unknown = [name for name in chosen if name not in SECTIONS]
@@ -878,10 +889,9 @@ def run_fuzz(
         )
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    backend = resolve_backend(backend)
-    report = FuzzReport(seed=seed, budget=budget, sections=chosen, backend=backend)
+    report = FuzzReport(seed=seed, budget=budget, sections=chosen)
     per_section = max(1, budget // len(chosen))
-    previous = set_default_engine(Engine(backend=backend))
+    previous = set_default_engine(Engine())
     try:
         for name in chosen:
             runner = SECTIONS[name]

@@ -28,8 +28,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..automata.bag import bag_run_groups
 from ..automata.compiled import run_with_choices_compiled
-from ..automata.nfa import NFA
-from ..automata.ops import run_with_choices
 from ..data.model import DataGraph, Node
 from ..engine import Engine, get_default_engine
 from .model import Schema, TypeDef, atomic_matches
@@ -43,25 +41,13 @@ def _ordered_witness(
 ) -> Optional[List]:
     """A witness word of ``tid``'s content model over per-edge choices.
 
-    On the compiled backend the walk runs on the minimized table
-    (deterministic witness order); the NFA route is kept for
-    differential testing.  Unordered (bag) support stays on the NFA —
-    the bag DP needs state-set introspection the table does not expose.
+    The walk runs on the minimized table (deterministic witness order).
+    Unordered (bag) support stays on the NFA — the bag DP needs
+    state-set introspection the table does not expose.
     """
-    if engine.backend == "compiled":
-        return run_with_choices_compiled(
-            engine.compiled_content(schema, tid), choice_sets
-        )
-    return run_with_choices(engine.content_nfa(schema, tid), choice_sets)
-
-
-def _ordered_member(
-    engine: Engine, schema: Schema, tid: str, typed_edges: Sequence
-) -> bool:
-    """Ordered content-model membership on the engine's backend."""
-    if engine.backend == "compiled":
-        return engine.compiled_content(schema, tid).member(typed_edges)
-    return engine.content_nfa(schema, tid).accepts(typed_edges)
+    return run_with_choices_compiled(
+        engine.compiled_content(schema, tid), choice_sets
+    )
 
 
 def candidate_types(
@@ -317,7 +303,7 @@ def verify_assignment(
             (edge.label, assignment[edge.target]) for edge in node.edges
         ]
         if node.is_ordered:
-            if not _ordered_member(engine, schema, tid, typed_edges):
+            if not engine.compiled_content(schema, tid).member(typed_edges):
                 return False
         else:
             from ..automata.bag import bag_accepts

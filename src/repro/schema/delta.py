@@ -40,10 +40,10 @@ For a narrowing or incomparable content change, :func:`separating_word`
 produces the lexicographically-least shortest content word accepted by
 the old model and rejected by the new one (for a widening change, the
 word the new model gains).  The search runs a breadth-first product walk
-over the engine's backend-resolved runners; because the first accepting
-word in (length, lexicographic) order is a property of the *languages*,
-not of the automaton shape, the word is byte-identical across the
-``nfa`` and ``compiled`` backends.
+over the engine's compiled tables; because the first accepting word in
+(length, lexicographic) order is a property of the *languages*, not of
+the automaton shape, the word does not depend on how the tables were
+built.
 """
 
 from __future__ import annotations
@@ -322,13 +322,13 @@ def separating_word(
 
     Returns None when the difference is empty — or, defensively, when the
     product walk exceeds ``limit`` state pairs.  The result depends only
-    on the two languages, so it is identical on both engine backends.
+    on the two languages, not on the automata that decide them.
     """
     if engine is None:
         engine = get_default_engine()
     alphabet = frozenset(accept.symbols() | reject.symbols())
-    accepter = engine.path_runner(accept, alphabet)
-    rejecter = engine.path_runner(reject, alphabet)
+    accepter = engine.compiled_path(accept, alphabet)
+    rejecter = engine.compiled_path(reject, alphabet)
     start_a = accepter.initial()
     if start_a is None:
         return None

@@ -26,10 +26,8 @@ is sound for arbitrary instances.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..automata.nfa import NFA
-from ..automata.ops import is_subset, relabel
 from ..automata.syntax import Regex
 from ..engine import Engine, get_default_engine
 from .model import Schema, TypeDef
@@ -85,11 +83,14 @@ def _language_simulated(
 
     For unordered types this tests ordered-language containment, which
     soundly implies unordered-language containment.
+
+    Both sides are the engine's compiled tables over the left alphabet,
+    decided by :meth:`~repro.automata.compiled.CompiledDFA.is_subset`.
     """
     if engine is None:
         engine = get_default_engine()
     left_alphabet = t1.symbols()
-    left = engine.thompson(t1.regex, left_alphabet)
+    left = engine.compiled_path(t1.regex, left_alphabet)
 
     # For each right atom (a, U'), the left atoms (a, U) it may stand for.
     related_left: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
@@ -109,10 +110,11 @@ def _language_simulated(
         return alt(*(Sym(option) for option in options))
 
     # Hash-consing makes the relaxed regex a cheap cache key, so repeated
-    # fixpoint rounds that relax to the same regex reuse one compiled NFA.
+    # fixpoint rounds (and repeated diffs of one pair) that relax to the
+    # same regex reuse one compiled table.
     relaxed_regex = _substitute(t2.regex, relax)
-    right = engine.thompson(relaxed_regex, left_alphabet)
-    return is_subset(left, right)
+    right = engine.compiled_path(relaxed_regex, left_alphabet)
+    return left.is_subset(right)
 
 
 def _substitute(regex: Regex, fn) -> Regex:

@@ -124,17 +124,13 @@ def _worker_main(conn, worker_id: int, num_workers: int, config: dict) -> None:
     # Imports are local so ``spawn`` children pay them once, here, and a
     # traceback during warmup still reaches the handshake below.
     from ..engine import ArtifactStore
-    from ..engine.core import BACKEND_ENV_VAR
     from .daemon import ServiceState
     from .registry import SchemaRegistry
 
     try:
-        backend = config.get("backend")
-        if backend:
-            os.environ[BACKEND_ENV_VAR] = backend
         store = None
         if config.get("store_dir"):
-            store = ArtifactStore(root=config["store_dir"], backend=backend)
+            store = ArtifactStore(root=config["store_dir"])
         extras = frozenset(config.get("extra_fingerprints") or ())
 
         def shard_filter(fingerprint: str) -> bool:
@@ -230,7 +226,6 @@ class CompilerPool:
         self,
         num_workers: int,
         store_dir: Optional[str],
-        backend: Optional[str] = None,
         limits: Optional[ServiceLimits] = None,
         max_schemas: int = 64,
         engine_max_entries: Optional[int] = 4096,
@@ -239,7 +234,6 @@ class CompilerPool:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers
         self.store_dir = store_dir
-        self.backend = backend
         self.limits = limits if limits is not None else ServiceLimits()
         self.max_schemas = max_schemas
         self.engine_max_entries = engine_max_entries
@@ -279,7 +273,6 @@ class CompilerPool:
     def _worker_config(self, extras: List[str]) -> dict:
         return {
             "store_dir": self.store_dir,
-            "backend": self.backend,
             "max_schemas": self.max_schemas,
             "engine_max_entries": self.engine_max_entries,
             "limits": self.limits,
@@ -547,7 +540,7 @@ def _merge_numeric(payloads: List[dict], weights: Optional[List[float]] = None) 
     * ``counts`` lists merge element-wise;
     * dicts recurse; engine maps union naturally because shard routing
       keeps their fingerprint keys disjoint; other non-numeric leaves
-      (backend names, pids) take the first occurrence.
+      (store dirs, version tags) take the first occurrence.
     """
     payloads = [p for p in payloads if isinstance(p, dict)]
     if weights is None:
@@ -917,7 +910,6 @@ class PoolService:
         port: int = 0,
         workers: int = 2,
         store_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         limits: Optional[ServiceLimits] = None,
         max_schemas: int = 64,
         engine_max_entries: Optional[int] = 4096,
@@ -932,7 +924,6 @@ class PoolService:
         self.pool = CompilerPool(
             num_workers=workers,
             store_dir=store_dir,
-            backend=backend,
             limits=self.limits,
             max_schemas=max_schemas,
             engine_max_entries=engine_max_entries,
@@ -1050,7 +1041,6 @@ def serve_pool(
     port: int = 8421,
     workers: int = 2,
     store_dir: Optional[str] = None,
-    backend: Optional[str] = None,
     limits: Optional[ServiceLimits] = None,
     max_schemas: int = 64,
 ) -> None:
@@ -1060,7 +1050,6 @@ def serve_pool(
         port=port,
         workers=workers,
         store_dir=store_dir,
-        backend=backend,
         limits=limits,
         max_schemas=max_schemas,
     )

@@ -160,11 +160,10 @@ def prewarm(schema: Schema, engine: Engine) -> int:
     Runs every construction a decision endpoint will need: the symbol
     alphabet, the inhabited-type set, the schema graph, the reachability
     object, and the (restricted) content automata of every collection
-    type — on the compiled backend that means running the full compile
-    pipeline (NFA → subset → Hopcroft → tables) per type up front, so no
-    request pays a first-touch compile.  Returns the number of cache
-    entries the engine holds afterwards, so callers can report how much
-    was warmed.
+    type — running the full compile pipeline (NFA → subset → Hopcroft →
+    tables) per type up front, so no request pays a first-touch compile.
+    Returns the number of cache entries the engine holds afterwards, so
+    callers can report how much was warmed.
     """
     engine.symbol_alphabet(schema)
     engine.inhabited_types(schema)
@@ -174,9 +173,8 @@ def prewarm(schema: Schema, engine: Engine) -> int:
         if not schema.type(tid).is_atomic:
             engine.content_nfa(schema, tid)
             engine.restricted_content_nfa(schema, tid)
-            if engine.backend == "compiled":
-                engine.compiled_content(schema, tid)
-                engine.compiled_restricted_content(schema, tid)
+            engine.compiled_content(schema, tid)
+            engine.compiled_restricted_content(schema, tid)
     return len(engine.cache)
 
 
@@ -243,11 +241,7 @@ class SchemaRegistry:
             artifact = self.store.get(fingerprint)
             if artifact is None:
                 continue
-            engine = Engine(
-                max_entries=self.engine_max_entries,
-                backend=artifact.backend,
-                store=self.store,
-            )
+            engine = Engine(max_entries=self.engine_max_entries, store=self.store)
             engine.cache.seed(artifact.entries)
             syntax = self.store.meta(fingerprint).get("syntax", "scmdl")
             self._entries[fingerprint] = RegisteredSchema(
@@ -342,8 +336,8 @@ class SchemaRegistry:
     ) -> tuple:
         """Analyze a migration and, if the policy accepts, swap the entry.
 
-        Parses and pre-warms the candidate schema (same backend as the
-        resident entry, artifact persisted through the store), runs
+        Parses and pre-warms the candidate schema (artifact persisted
+        through the store), runs
         :func:`repro.schema.migrate.analyze_migration` against the
         resident schema's warm engine, and — only when the report meets
         ``policy`` — atomically replaces the registry entry: the new
@@ -364,11 +358,7 @@ class SchemaRegistry:
         new_fingerprint = schema.fingerprint()
 
         # Compile outside the lock, exactly like register().
-        engine = Engine(
-            max_entries=self.engine_max_entries,
-            backend=current.engine.backend,
-            store=self.store,
-        )
+        engine = Engine(max_entries=self.engine_max_entries, store=self.store)
         store_hit = engine.warm_from_store(schema)
         if not store_hit:
             prewarm(schema, engine)
@@ -523,7 +513,6 @@ class SchemaRegistry:
                     "size": len(entry.decisions),
                 }
             engines[entry.fingerprint] = {
-                "backend": entry.engine.backend,
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "evictions": stats.evictions,

@@ -9,17 +9,15 @@ expression.
 
 :class:`SchemaReach` packages those computations with caching:
 
-* :meth:`path` — the path regex compiled for the engine's backend (a
-  :class:`~repro.automata.compiled.CompiledDFA` table or the legacy
-  :class:`~repro.automata.compiled.NFARunner`), under the shared walk
+* :meth:`path` — the path regex as a
+  :class:`~repro.automata.compiled.CompiledDFA` table, under the walk
   contract: ``step`` returns ``None`` when the walk dies, states are
   otherwise opaque;
 * :meth:`step` — one product step from a (type, state) configuration;
 * :meth:`completions` — all (type, state) configurations reachable from
   a start configuration, i.e. the candidate end types of a path.
 
-State values are backend-dependent (integers on the compiled backend,
-frozensets on the NFA backend) but always opaque to callers: compare
+State values are table rows (integers) but opaque to callers: compare
 them, hash them, pass them back in — never inspect them.
 """
 
@@ -27,10 +25,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from ..automata.compiled import CompiledDFA
 from ..automata.nfa import NFA
 from ..automata.syntax import Regex
 from ..engine import Engine, get_default_engine
-from ..engine.core import Runner
 from ..schema.model import Schema
 
 
@@ -54,7 +52,7 @@ class SchemaReach:
         # the innermost call of the satisfiability search, and the
         # engine-level lookup (alphabet union + key build + lock) costs
         # more than the identity-hash dict hit on a hash-consed regex.
-        self._runners: Dict[Regex, Runner] = {}
+        self._runners: Dict[Regex, CompiledDFA] = {}
 
     def compile_path(self, regex: Regex) -> NFA:
         """Compile a path regex over the schema's labels (plus its own).
@@ -64,11 +62,11 @@ class SchemaReach:
         """
         return self.engine.thompson(regex, self.labels | frozenset(regex.symbols()))
 
-    def path(self, regex: Regex) -> Runner:
-        """The path automaton on the engine's backend (walk contract)."""
+    def path(self, regex: Regex) -> CompiledDFA:
+        """The path regex's compiled table (walk contract)."""
         runner = self._runners.get(regex)
         if runner is None:
-            runner = self.engine.path_runner(
+            runner = self.engine.compiled_path(
                 regex, self.labels | frozenset(regex.symbols())
             )
             self._runners[regex] = runner

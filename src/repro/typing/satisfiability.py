@@ -48,9 +48,9 @@ from typing import (
     Union,
 )
 
+from ..automata.compiled import CompiledDFA
 from ..automata.syntax import ANY, Regex, Sym
 from ..engine import Engine, get_default_engine
-from ..engine.core import Runner
 from ..query.model import PatternDef, PatternKind, Query
 from ..schema.model import ATOMIC_TYPE_NAMES, Schema, TypeKind
 from .reach import SchemaReach
@@ -83,12 +83,10 @@ class DefSpec(NamedTuple):
 
 
 #: A pending path requirement: (arm key, walk state of the arm's path
-#: automaton).  The state is backend-dependent — a frozenset of NFA
-#: states on the legacy backend, an integer DFA state on the compiled
-#: one — and always opaque: it is only hashed, compared, and passed back
-#: into the automaton that produced it.  A dead walk is represented by
-#: the *absence* of a requirement, never by a falsy state (integer state
-#: 0 is live).
+#: automaton).  The state is an integer row of the compiled table, and
+#: opaque: it is only hashed, compared, and passed back into the table
+#: that produced it.  A dead walk is represented by the *absence* of a
+#: requirement, never by a falsy state (integer state 0 is live).
 Requirement = Tuple[Tuple[str, int], object]
 
 
@@ -406,10 +404,9 @@ class _PinnedChecker:
     # Word search over a type's content model
     # ------------------------------------------------------------------
 
-    def _type_runner(self, tid: str) -> Runner:
-        """The type's content automaton (restricted to inhabited targets)
-        on the engine's backend."""
-        return self.engine.content_runner(self.schema, tid, restricted=True)
+    def _type_runner(self, tid: str) -> CompiledDFA:
+        """The type's content table, restricted to inhabited targets."""
+        return self.engine.compiled_restricted_content(self.schema, tid)
 
     def _word_search(
         self,
@@ -426,10 +423,9 @@ class _PinnedChecker:
         positions (Definition 2.2's ordering); unordered definitions may
         place arms anywhere, overlapping freely (set semantics).
 
-        On the compiled backend the content automaton is a minimized,
-        dead-state-pruned table, so every offered symbol can still
-        complete a content word — the search never wanders into doomed
-        word prefixes.
+        The content automaton is a minimized, dead-state-pruned table, so
+        every offered symbol can still complete a content word — the
+        search never wanders into doomed word prefixes.
         """
         runner = self._type_runner(tid)
         content_start = runner.initial()

@@ -253,34 +253,29 @@ def flat_satisfiable(
     independent oracle for the general checker of
     :mod:`repro.typing.satisfiability`.
 
-    On the compiled backend the emptiness check is a pair-BFS over the
-    minimized tables of ``Tr(P)`` and each per-root ``Tr(S)``
+    The emptiness check is a pair-BFS over the minimized tables of
+    ``Tr(P)`` and each per-root ``Tr(S)``
     (:meth:`~repro.automata.compiled.CompiledDFA.product_empty`), skipping
-    the explicit product NFA; the NFA route materializes and trims the
-    product and is kept for differential testing (and for the callers that
-    need the product itself — inference, feedback).
+    the explicit product NFA that :func:`trace_product` materializes for
+    the callers that need the product itself (inference, feedback).
     """
     if engine is None:
         engine = get_default_engine()
-    if engine.backend == "compiled":
-        root_types = tuple(root_types)
-        arms = tuple(arms)
-        allowed_types = tuple(tuple(types) for types in allowed_types)
-        regex = pattern_trace_regex(arms, allowed_types, root_types)
-        alphabet = frozenset(schema.labels()) | frozenset(regex.symbols())
-        pattern = engine.compiled_path(regex, alphabet)
-        ordered = [t for t in root_types if schema.type(t).is_ordered]
-        if not ordered:
-            raise ValueError("no ordered candidate root types")
-        return any(
-            not pattern.product_empty(
-                engine.compiled_trace(schema, root_tid, len(arms))
-            )
-            for root_tid in ordered
+    root_types = tuple(root_types)
+    arms = tuple(arms)
+    allowed_types = tuple(tuple(types) for types in allowed_types)
+    regex = pattern_trace_regex(arms, allowed_types, root_types)
+    alphabet = frozenset(schema.labels()) | frozenset(regex.symbols())
+    pattern = engine.compiled_path(regex, alphabet)
+    ordered = [t for t in root_types if schema.type(t).is_ordered]
+    if not ordered:
+        raise ValueError("no ordered candidate root types")
+    return any(
+        not pattern.product_empty(
+            engine.compiled_trace(schema, root_tid, len(arms))
         )
-    return not trace_product(
-        schema, root_types, arms, allowed_types, engine=engine
-    ).is_empty()
+        for root_tid in ordered
+    )
 
 
 def inferred_marker_types(product: NFA) -> Dict[int, FrozenSet[str]]:

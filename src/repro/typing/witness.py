@@ -86,6 +86,17 @@ class _WitnessBuilder:
 
     def build_variable(self, var: str, tid: str) -> str:
         """Materialize a node of type ``tid`` satisfying ``var``'s subtree."""
+        oid = self._build_variable(var, tid)
+        if var.startswith("&"):
+            # A referenceable variable binds only referenceable nodes.  The
+            # variable's node is the last one built (parents come later),
+            # so renaming it rewrites no edge.
+            node = self.nodes.pop()
+            oid = "&" + node.oid
+            self.nodes.append(Node(oid, node.kind, node.value, node.edges))
+        return oid
+
+    def _build_variable(self, var: str, tid: str) -> str:
         definition = self.query.definition(var)
         if definition is None:
             return self.minimal_subtree(tid)
@@ -212,7 +223,9 @@ class _WitnessBuilder:
                 edges.append(Edge(symbol[0], self.minimal_subtree(symbol[1])))
         if not placed:
             raise WitnessError("content embedding lost the path edge")
-        self.nodes.append(Node(oid, NodeKind.ORDERED, edges=edges))
+        ordered = self.schema.type(tid).is_ordered
+        kind = NodeKind.ORDERED if ordered else NodeKind.UNORDERED
+        self.nodes.append(Node(oid, kind, edges=edges))
         return oid
 
     # ------------------------------------------------------------------

@@ -133,21 +133,6 @@ class TestDFA:
         assert comp.accepts("ba")
         assert comp.accepts("aba")
 
-    def test_minimize(self):
-        # (a|b)*ab requires a 3-state minimal DFA plus nothing else... compute.
-        regex = concat(star(alt(sym("a"), sym("b"))), word("ab"))
-        dfa = determinize(thompson(regex, AB)).minimize()
-        assert dfa.n_states == 3
-        for trial in ["ab", "aab", "abab", "", "a", "ba"]:
-            assert dfa.accepts(trial) == (trial.endswith("ab")), trial
-
-    def test_minimize_empty_language(self):
-        from repro.automata import EMPTY
-
-        dfa = determinize(thompson(EMPTY, AB)).minimize()
-        assert dfa.is_empty()
-        assert dfa.n_states == 1
-
     def test_dfa_round_trip_to_nfa(self):
         regex = alt(word("ab"), word("ba"))
         dfa = determinize(thompson(regex, AB))

@@ -63,25 +63,16 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="unknown executor"):
             run_batch(_plan([{"query": GOOD_QUERY}]), executor="gpu")
 
-    def test_unknown_backend_is_rejected_at_plan_time(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            BatchPlan(
-                operation="satisfiable",
-                items=({"query": GOOD_QUERY},),
-                schema_text=SCHEMA_TEXT,
-                backend="quantum",
-            )
-
-    @pytest.mark.parametrize("backend", ["nfa", "compiled"])
-    def test_backend_reaches_the_compiled_engine(self, backend):
+    def test_compile_prewarms_the_content_tables(self):
         plan = BatchPlan(
             operation="satisfiable",
             items=({"query": GOOD_QUERY},),
             schema_text=SCHEMA_TEXT,
-            backend=backend,
         )
         _schema, engine = plan.compile()
-        assert engine.backend == backend
+        kinds = engine.stats().by_kind
+        assert kinds["compiled-content"].misses > 0
+        assert kinds["compiled-content-restricted"].misses > 0
 
 
 class TestErrorIsolation:
@@ -161,28 +152,22 @@ class TestExecutorEquivalence:
         assert outcomes["process"].results == reference
         assert [e["index"] for e in reference] == list(range(len(items)))
 
-    def test_backends_agree_and_executors_stay_byte_identical(self):
-        # The envelope contract must hold per backend *and* across
-        # backends: the automata representation may never change a
-        # decision or a witness-bearing payload's bytes.
+    def test_executors_stay_byte_identical_on_a_sectioned_corpus(self):
+        # The executor may never change a decision or a witness-bearing
+        # payload's bytes.
         schema_text, items = batch_corpus(
             operation="satisfiable", n_items=30, seed=11, n_sections=3
         )
-        per_backend = {}
-        for backend in ("nfa", "compiled"):
-            plan = BatchPlan(
-                operation="satisfiable",
-                items=tuple(items),
-                schema_text=schema_text,
-                backend=backend,
-            )
-            runs = [
-                results_to_ndjson(run_batch(plan, executor=executor, workers=2).results)
-                for executor in EXECUTORS
-            ]
-            assert runs[0] == runs[1] == runs[2]
-            per_backend[backend] = runs[0]
-        assert per_backend["nfa"] == per_backend["compiled"]
+        plan = BatchPlan(
+            operation="satisfiable",
+            items=tuple(items),
+            schema_text=schema_text,
+        )
+        runs = [
+            results_to_ndjson(run_batch(plan, executor=executor, workers=2).results)
+            for executor in EXECUTORS
+        ]
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestOperations:

@@ -24,8 +24,8 @@ from repro.workloads import document_schema
 SCHEMA = document_schema(3)
 
 
-def _captured(backend="compiled"):
-    engine = Engine(backend=backend)
+def _captured():
+    engine = Engine()
     prewarm_schema(engine, SCHEMA)
     return engine, EngineArtifact.capture(engine, SCHEMA)
 
@@ -36,22 +36,15 @@ class TestCapture:
         assert len(artifact) > 0
         kinds = {key[0] for key in artifact.entries}
         assert "compiled-content" in kinds
-        # Runner wrappers and raw NFAs hold process-local references
-        # and must never ship.
-        assert not kinds & {"content-runner", "path-runner", "content-nfa"}
-
-    def test_capture_records_the_parent_backend(self):
-        for backend in ("nfa", "compiled"):
-            engine = Engine(backend=backend)
-            prewarm_schema(engine, SCHEMA)
-            assert EngineArtifact.capture(engine, SCHEMA).backend == backend
+        # Raw NFAs and reachability objects hold process-local
+        # references and must never ship.
+        assert not kinds & {"content-nfa", "restricted-content-nfa", "reach"}
 
 
 class TestRoundTrip:
     def test_bytes_round_trip_preserves_entries(self):
         _engine, artifact = _captured()
         clone = EngineArtifact.from_bytes(artifact.to_bytes())
-        assert clone.backend == artifact.backend
         assert set(clone.entries) == set(artifact.entries)
         assert clone.schema.fingerprint() == SCHEMA.fingerprint()
 
@@ -103,7 +96,7 @@ class TestCorruptPayloads:
             EngineArtifact.from_bytes(pickle.dumps(["not", "a", "dict"]))
         with pytest.raises(ArtifactError, match="missing field"):
             EngineArtifact.from_bytes(
-                pickle.dumps({"version": ARTIFACT_VERSION, "backend": "compiled"})
+                pickle.dumps({"version": ARTIFACT_VERSION, "entries": {}})
             )
 
     def test_wrong_typed_fields_are_an_artifact_error(self):
@@ -116,7 +109,6 @@ class TestCorruptPayloads:
                 pickle.dumps(
                     {
                         "version": ARTIFACT_VERSION,
-                        "backend": "compiled",
                         "schema": "not a schema",
                         "entries": {},
                     }
@@ -126,10 +118,6 @@ class TestCorruptPayloads:
         payload = pickle.loads(artifact.to_bytes())
         payload["entries"] = ["not", "a", "dict"]
         with pytest.raises(ArtifactError, match="not a dict"):
-            EngineArtifact.from_bytes(pickle.dumps(payload))
-        payload = pickle.loads(artifact.to_bytes())
-        payload["backend"] = "warp-drive"
-        with pytest.raises(ArtifactError, match="backend"):
             EngineArtifact.from_bytes(pickle.dumps(payload))
 
     def test_artifact_error_maps_to_exit_2_and_http_400(self):
@@ -156,9 +144,8 @@ class TestCorruptPayloads:
 
 class TestInstall:
     def test_installed_engine_answers_without_recompiling(self):
-        parent, artifact = _captured()
+        _parent, artifact = _captured()
         worker = EngineArtifact.from_bytes(artifact.to_bytes()).install()
-        assert worker.backend == parent.backend
         schema = artifact.schema
         tid = next(t.tid for t in schema if not t.is_atomic)
         worker_dfa = worker.compiled_content(schema, tid)
@@ -166,14 +153,14 @@ class TestInstall:
         kind = after.by_kind["compiled-content"]
         assert kind.hits > 0 and kind.misses == 0
         # The shipped table decides identically to a cold local build.
-        cold = Engine(backend="compiled").compiled_content(schema, tid)
+        cold = Engine().compiled_content(schema, tid)
         assert worker_dfa.table == cold.table
         assert worker_dfa.symbols == cold.symbols
         assert worker_dfa.accepting == cold.accepting
 
     def test_install_into_existing_engine_keeps_its_entries(self):
         _parent, artifact = _captured()
-        target = Engine(backend="compiled")
+        target = Engine()
         target.symbol_alphabet(SCHEMA)
         seeded = artifact.install(target)
         assert seeded is target

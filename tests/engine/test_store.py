@@ -11,11 +11,14 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import repro.engine.store as store_module
+from repro import __version__
+from repro.automata.compiled import PICKLE_VERSION
 from repro.engine import (
     ARTIFACT_VERSION,
     ArtifactStore,
@@ -29,8 +32,8 @@ from repro.workloads import chain_schema, document_schema
 SCHEMA = document_schema(3)
 
 
-def baked_artifact(schema=SCHEMA, backend="compiled"):
-    engine = Engine(backend=backend)
+def baked_artifact(schema=SCHEMA):
+    engine = Engine()
     prewarm_schema(engine, schema)
     return EngineArtifact.capture(engine, schema)
 
@@ -63,18 +66,15 @@ class TestRoundTrip:
         path = store.put(artifact, syntax="scmdl")
         meta = store.meta(artifact.fingerprint())
         assert meta["fingerprint"] == artifact.fingerprint()
-        assert meta["backend"] == "compiled"
         assert meta["entries"] == len(artifact)
         assert meta["bytes"] == path.stat().st_size
         assert meta["syntax"] == "scmdl"
 
-    def test_layout_is_version_and_backend_keyed(self, tmp_path):
-        store = ArtifactStore(root=tmp_path, backend="compiled")
+    def test_layout_is_version_keyed(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
         artifact = baked_artifact()
         path = store.put(artifact)
-        assert path == (
-            tmp_path / version_tag() / "compiled" / f"{artifact.fingerprint()}.art"
-        )
+        assert path == tmp_path / version_tag() / f"{artifact.fingerprint()}.art"
 
 
 class TestCorruptionTolerance:
@@ -118,7 +118,6 @@ class TestCorruptionTolerance:
         payload = pickle.dumps(
             {
                 "version": ARTIFACT_VERSION,
-                "backend": "compiled",
                 "schema": "not a schema",
                 "entries": {},
             }
@@ -206,7 +205,7 @@ class TestVersionedInvalidation:
     ):
         old_store = ArtifactStore(root=tmp_path)
         old_store.put(baked_artifact())
-        old_dir = old_store.dir.parent
+        old_dir = old_store.dir
         _age(old_dir)  # past the grace window: nothing still uses it
         monkeypatch.setattr(store_module, "PICKLE_VERSION", 999)
         new_store = ArtifactStore(root=tmp_path)
@@ -221,7 +220,7 @@ class TestVersionedInvalidation:
         # keep its artifacts: only dirs idle past the grace window go.
         old_store = ArtifactStore(root=tmp_path)
         old_store.put(baked_artifact())
-        old_dir = old_store.dir.parent
+        old_dir = old_store.dir
         monkeypatch.setattr(store_module, "PICKLE_VERSION", 999)
         new_store = ArtifactStore(root=tmp_path)
         assert old_dir.exists()
@@ -234,7 +233,7 @@ class TestVersionedInvalidation:
             patch.setattr(store_module, "PICKLE_VERSION", 999)
             newer = ArtifactStore(root=tmp_path)
             newer.put(baked_artifact())
-            newer_dir = newer.dir.parent
+            newer_dir = newer.dir
         _age(newer_dir)
         current = ArtifactStore(root=tmp_path)
         assert newer_dir.exists()
@@ -259,16 +258,24 @@ class TestVersionedInvalidation:
         assert reopened.stats()["invalidations"] == 0
         assert reopened.get(SCHEMA.fingerprint()) is not None
 
-    def test_backends_do_not_share_blobs(self, tmp_path):
-        compiled = ArtifactStore(root=tmp_path, backend="compiled")
-        compiled.put(baked_artifact())
-        nfa = ArtifactStore(root=tmp_path, backend="nfa", sweep_stale=False)
-        assert nfa.get(SCHEMA.fingerprint()) is None
-
-    def test_put_refuses_a_foreign_backend(self, tmp_path):
-        store = ArtifactStore(root=tmp_path, backend="nfa")
-        with pytest.raises(ValueError, match="backend"):
-            store.put(baked_artifact(backend="compiled"))
+    def test_superseded_tag_in_the_nested_layout_is_swept(self, tmp_path):
+        # Tags before art2 filed blobs one directory deeper
+        # (<tag>/<kind>/<fp>.art); the sweeper must still reap them and
+        # count every blob, while leaving foreign directories alone.
+        old_tag = f"pickle{PICKLE_VERSION}-art{ARTIFACT_VERSION - 1}-lib{__version__}"
+        nested = tmp_path / old_tag / "compiled"
+        nested.mkdir(parents=True)
+        for name in ("a", "b"):
+            (nested / f"{name}.art").write_bytes(b"old payload")
+        precious = tmp_path / "notes"
+        (precious / "compiled").mkdir(parents=True)
+        (precious / "compiled" / "keep.art").write_text("not ours")
+        _age(tmp_path / old_tag)
+        _age(precious)
+        store = ArtifactStore(root=tmp_path)
+        assert store.stats()["invalidations"] == 2
+        assert not (tmp_path / old_tag).exists()
+        assert (precious / "compiled" / "keep.art").read_text() == "not ours"
 
 
 class TestEngineLoadThrough:
@@ -299,6 +306,45 @@ class TestEngineLoadThrough:
         assert parent.persist_to_store(SCHEMA) is not None
         child = Engine(store=ArtifactStore(root=tmp_path))
         assert child.warm_from_store(SCHEMA)
+
+
+class TestConcurrentPut:
+    def test_threads_storing_one_fingerprint_never_collide(self, tmp_path):
+        # Regression: the tmp names carried only the pid, so two threads
+        # of one process storing the same fingerprint shared a tmp file
+        # and the loser's os.replace raised (POST /schemas answered 500).
+        store = ArtifactStore(root=tmp_path)
+        artifact = baked_artifact()
+        data = artifact.to_bytes()
+        threads_per_round, rounds = 8, 25
+        errors = []
+
+        def writer(barrier):
+            barrier.wait(timeout=30)
+            try:
+                store.put(artifact, data=data)
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                barrier = threading.Barrier(threads_per_round)
+                threads = [
+                    threading.Thread(target=writer, args=(barrier,))
+                    for _ in range(threads_per_round)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert store.get(artifact.fingerprint()) is not None
+        assert not [p for p in store.dir.iterdir() if "tmp" in p.suffix]
 
 
 class TestConcurrentWarmVsRead:

@@ -88,9 +88,9 @@ class TestDiffCli:
         code = main(["diff", files["old"], files["wide"], "--queries", str(bad)])
         assert code == 2
 
-    def test_json_envelope_is_backend_identical(self, files, capsys):
-        outputs = {}
-        for backend in ("nfa", "compiled"):
+    def test_json_envelope_is_deterministic(self, files, capsys):
+        outputs = []
+        for _run in range(2):
             code = main(
                 [
                     "diff",
@@ -99,19 +99,16 @@ class TestDiffCli:
                     "--queries",
                     files["queries"],
                     "--json",
-                    "--backend",
-                    backend,
                 ]
             )
             assert code == 1
-            outputs[backend] = capsys.readouterr().out
-        assert outputs["nfa"] == outputs["compiled"]
-        envelope = json.loads(outputs["nfa"])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        envelope = json.loads(outputs[0])
         assert envelope["ok"] is True
         result = envelope["result"]
         assert result["accepted"] is False
         assert result["compatibility"] == "narrowing"
-        assert "backend" not in json.dumps(result)
         broken = [q for q in result["queries"] if q["status"] == "breaks"]
         assert broken[0]["counterexample"] == ["title->TITLE", "author->AUTHOR"]
 

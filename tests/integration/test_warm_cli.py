@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine import ArtifactStore
+from repro.engine import ArtifactStore, version_tag
 
 SCHEMA = """
 DOCUMENT = [(paper -> PAPER)*];
@@ -83,4 +83,4 @@ class TestWarmCli:
         assert code == 0
         stats = envelope["result"]["store"]
         assert stats["puts"] == 1
-        assert stats["backend"] == "compiled"
+        assert stats["dir"] == str(cache_dir / version_tag())

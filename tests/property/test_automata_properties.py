@@ -2,13 +2,16 @@
 
 The automata layer carries every result in the paper, so it gets the
 heaviest property coverage: construction/membership agreement, product
-semantics, determinization/minimization invariance, regex extraction, and
-bag-language membership against brute-force permutation checking.
+semantics, determinization and compile-pipeline invariance, regex
+extraction, and bag-language membership against brute-force permutation
+checking.
 """
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
+
+from repro.automata.compiled import compile_nfa
 
 from repro.automata import (
     EPSILON,
@@ -72,11 +75,11 @@ class TestNfaSemantics:
 
     @given(regexes())
     @settings(max_examples=100, deadline=None)
-    def test_minimize_preserves_language(self, regex):
+    def test_compile_preserves_language(self, regex):
         nfa = thompson(regex, ALPHABET)
-        small = determinize(nfa).minimize()
+        table = compile_nfa(nfa)
         for word in _sample_words(3):
-            assert small.accepts(word) == nfa.accepts(word)
+            assert table.member(word) == nfa.accepts(word)
 
     @given(regexes())
     @settings(max_examples=60, deadline=None)

@@ -8,25 +8,28 @@ shrinking drives the reported counterexample down to a minimal input —
 the property that makes real reports actionable.
 """
 
-from repro.automata.dfa import DFA
+from repro.automata.dfa import determinize
 from repro.oracle.differential import (
     run_automata_section,
     run_conformance_section,
     run_containment_section,
     run_eval_section,
+    run_satisfiable_section,
 )
 from repro.query.eval import evaluate
 
 
 class TestAutomataMutations:
-    def test_wrong_minimize_caught_and_shrunk(self):
-        # "Minimize" that flips the language: wrong on every regex.
+    def test_wrong_determinize_caught_and_shrunk(self):
+        # "Determinize" that flips the language: wrong on every regex.
         found, cases, _ = run_automata_section(
-            seed=0, cases=20, minimize_fn=lambda dfa: dfa.complement()
+            seed=0,
+            cases=20,
+            determinize_fn=lambda nfa: determinize(nfa).complement(),
         )
-        assert found, "harness missed an always-wrong minimize"
+        assert found, "harness missed an always-wrong determinize"
         first = found[0]
-        assert first.check == "minimize"
+        assert first.check == "determinize"
         # Shrinking must reach a trivial regex and the empty word.
         assert first.inputs["word"] == "()"
         assert len(first.inputs["regex"]) < 30
@@ -115,3 +118,22 @@ class TestConformanceMutations:
         assert found, "harness missed an always-False conforms"
         # Half the corpus is sampled *from* the schema, so False must lose.
         assert any("sampled from the schema" in d.detail for d in found)
+
+
+class TestSatisfiableMutations:
+    def test_always_unsatisfiable_refuted_by_a_sampled_instance(self):
+        found, cases, _ = run_satisfiable_section(
+            seed=0, cases=40, satisfiable_fn=lambda query, schema, *a, **kw: False
+        )
+        assert found, "harness missed an always-False is_satisfiable"
+        assert all(d.check == "refuted" for d in found)
+        first = found[0]
+        # The report carries the refuting instance and a shrunken query.
+        assert "instance" in first.inputs and "query" in first.inputs
+
+    def test_always_satisfiable_caught_by_the_witness_check(self):
+        found, _, _ = run_satisfiable_section(
+            seed=0, cases=60, satisfiable_fn=lambda query, schema, *a, **kw: True
+        )
+        assert found, "harness missed an always-True is_satisfiable"
+        assert all(d.check == "witness" for d in found)

@@ -94,6 +94,25 @@ class TestBasicWitnesses:
         assert witness.edge_count() >= 3
 
 
+class TestWitnessNodeKinds:
+    def test_path_through_an_unordered_type_builds_an_unordered_node(self):
+        # Regression: path nodes were always built ordered, so a path
+        # crossing an unordered type produced a non-conforming witness.
+        schema = parse_schema("R = [a -> M]; M = {b -> T}; T = string")
+        query = parse_query("SELECT X WHERE Root = [a.b -> X]")
+        witness = check_witness(query, schema)
+        middle = [n for n in witness.nodes.values() if n.labels() == ("b",)]
+        assert middle and middle[0].is_unordered
+
+    def test_referenceable_variable_binds_a_referenceable_node(self):
+        # Regression: the node built for a &-variable got a plain oid,
+        # so the query (which needs a referenceable binding) missed it.
+        schema = parse_schema("R = [a -> &T]; &T = string")
+        query = parse_query("SELECT WHERE Root = [a -> &X]")
+        witness = check_witness(query, schema)
+        assert any(node.is_referenceable for node in witness.nodes.values())
+
+
 class TestWitnessErrors:
     def test_joins_rejected(self):
         schema = parse_schema("T = {x -> &U . y -> &U}; &U = string")
