@@ -168,6 +168,18 @@ class CompiledDFA:
             self._avail[state] = cached
         return cached
 
+    def live_symbols(self) -> FrozenSet[Symbol]:
+        """Symbols occurring in some accepted word.
+
+        Every stored state is reachable and co-accessible, so a symbol
+        occurs in a word exactly when its column has a live entry.
+        """
+        m = self.n_symbols
+        live = {i % m for i, target in enumerate(self.table) if target >= 0}
+        return frozenset(
+            symbol for symbol, col in zip(self.symbols, self.columns) if col in live
+        )
+
     # ------------------------------------------------------------------
     # Decision procedures as index arithmetic
     # ------------------------------------------------------------------
@@ -348,6 +360,12 @@ def _subset_construct(
       expanded to — share one column (``columns`` maps each symbol to
       its class), so the construction and minimization pay per class,
       not per label.
+
+    Subsets are int bitmasks (bit ``q`` for NFA state ``q``).  Each arc
+    target's ε-closure is computed once; since closure distributes over
+    union, a subset's successor on a column is the OR of the closures
+    its members' arcs on that column reach — no closure walk per
+    (subset, column), and the same subsets in the same BFS order.
     """
     profiles: Dict[Symbol, List[Tuple[int, int]]] = {}
     for q, arcs in nfa.transitions.items():
@@ -368,34 +386,34 @@ def _subset_construct(
             col_arcs.append(arcs)
         columns.append(cid)
     m = len(col_arcs)
-    # Per NFA state, the (column, destination) arcs of one representative
-    # symbol per class — what one subset-state expansion iterates.
+    closure = _eps_closures(
+        nfa, {nfa.start}.union(d for arcs in col_arcs for _q, d in arcs)
+    )
+    # Per NFA state, (column, closure of the arc's target) for one
+    # representative symbol per class — what one subset expansion ORs in.
     consuming: Dict[int, List[Tuple[int, int]]] = {}
     for cid, arcs in enumerate(col_arcs):
         for q, d in arcs:
-            consuming.setdefault(q, []).append((cid, d))
-    eps_closure = nfa.eps_closure
-    start_set = nfa.initial_states()
-    ids: Dict[FrozenSet[int], int] = {start_set: 0}
-    order: List[FrozenSet[int]] = [start_set]
+            consuming.setdefault(q, []).append((cid, closure[d]))
+    consuming_mask = sum(1 << q for q in consuming)
+    start_set = closure[nfa.start]
+    ids: Dict[int, int] = {start_set: 0}
+    order: List[int] = [start_set]
     rows: List[List[int]] = []
     index = 0
     while index < len(order):
-        current = order[index]
-        moved: List[Optional[Set[int]]] = [None] * m
-        for q in current:
-            for cid, d in consuming.get(q, ()):
-                bucket = moved[cid]
-                if bucket is None:
-                    moved[cid] = {d}
-                else:
-                    bucket.add(d)
+        live = order[index] & consuming_mask
+        moved = [0] * m
+        while live:
+            low = live & -live
+            live ^= low
+            for cid, mask in consuming[low.bit_length() - 1]:
+                moved[cid] |= mask
         row = []
-        for bucket in moved:
-            if bucket is None:
+        for nxt in moved:
+            if not nxt:
                 row.append(-1)
                 continue
-            nxt = eps_closure(bucket)
             target = ids.get(nxt)
             if target is None:
                 target = len(order)
@@ -404,8 +422,24 @@ def _subset_construct(
             row.append(target)
         rows.append(row)
         index += 1
-    accepting = [bool(subset & nfa.accepting) for subset in order]
+    accepting_mask = sum(1 << q for q in nfa.accepting)
+    accepting = [bool(subset & accepting_mask) for subset in order]
     return symbols, tuple(columns), rows, 0, accepting
+
+
+def _eps_closures(nfa: NFA, states: Iterable[int]) -> Dict[int, int]:
+    """The ε-closure of each of ``states`` as an int bitmask."""
+    eps = {q: [d for s, d in arcs if s is EPS] for q, arcs in nfa.transitions.items()}
+    closures: Dict[int, int] = {}
+    for q in states:
+        mask, stack = 1 << q, [q]
+        while stack:
+            for d in eps.get(stack.pop(), ()):
+                if not (mask >> d) & 1:
+                    mask |= 1 << d
+                    stack.append(d)
+        closures[q] = mask
+    return closures
 
 
 # ----------------------------------------------------------------------
@@ -438,53 +472,47 @@ def hopcroft_partition(
 
     finals = {q for q in range(n_states) if accepting[q]}
     nonfinals = set(range(n_states)) - finals
-    blocks: List[Set[int]] = []
+    blocks: List[Set[int]] = [group for group in (finals, nonfinals) if group]
     block_of = [0] * n_states
-    for group in (finals, nonfinals):
-        if group:
-            bid = len(blocks)
-            blocks.append(set(group))
-            for q in group:
-                block_of[q] = bid
+    for bid, group in enumerate(blocks):
+        for q in group:
+            block_of[q] = bid
     if len(blocks) < 2:
         return block_of
 
-    smaller = 0 if len(blocks[0]) <= len(blocks[1]) else 1
-    worklist: Set[Tuple[int, int]] = {(smaller, c) for c in range(n_symbols)}
+    # The worklist holds splitter *blocks*; popping one refines against
+    # it on every column (the textbook form of the algorithm).
+    worklist: Set[int] = {0 if len(blocks[0]) <= len(blocks[1]) else 1}
     while worklist:
-        splitter_id, c = worklist.pop()
-        # The splitter's members may change later; snapshot the preimage.
-        x: Set[int] = set()
-        pre_c = preimage[c]
-        for q in blocks[splitter_id]:
-            x.update(pre_c.get(q, ()))
-        if not x:
-            continue
-        # Find blocks cut by X and split them.
-        touched: Dict[int, Set[int]] = {}
-        for q in x:
-            touched.setdefault(block_of[q], set()).add(q)
-        for bid, inside in touched.items():
-            block = blocks[bid]
-            if len(inside) == len(block):
+        # The splitter's members may change below; snapshot them.
+        splitter = tuple(blocks[worklist.pop()])
+        for pre_c in preimage:
+            x: Set[int] = set()
+            for q in splitter:
+                x.update(pre_c.get(q, ()))
+            if not x:
                 continue
-            outside = block - inside
-            # Keep the larger part in place; the smaller becomes new.
-            if len(inside) <= len(outside):
-                new_part, blocks[bid] = inside, outside
-            else:
-                new_part, blocks[bid] = outside, inside
-            new_id = len(blocks)
-            blocks.append(new_part)
-            for q in new_part:
-                block_of[q] = new_id
-            for d in range(n_symbols):
-                if (bid, d) in worklist:
-                    worklist.add((new_id, d))
+            # Find blocks cut by X and split them.
+            touched: Dict[int, Set[int]] = {}
+            for q in x:
+                touched.setdefault(block_of[q], set()).add(q)
+            for bid, inside in touched.items():
+                block = blocks[bid]
+                if len(inside) == len(block):
+                    continue
+                outside = block - inside
+                # Keep the larger part in place; the smaller becomes new.
+                if len(inside) <= len(outside):
+                    new_part, blocks[bid] = inside, outside
                 else:
-                    worklist.add(
-                        (bid, d) if len(blocks[bid]) <= len(new_part) else (new_id, d)
-                    )
+                    new_part, blocks[bid] = outside, inside
+                new_id = len(blocks)
+                blocks.append(new_part)
+                for q in new_part:
+                    block_of[q] = new_id
+                # A pending block's parts both stay pending; otherwise
+                # refining against the smaller part (the new one) suffices.
+                worklist.add(new_id)
     return block_of
 
 

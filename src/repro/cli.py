@@ -114,9 +114,12 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_satisfiable(args: argparse.Namespace) -> Outcome:
+    from .engine import get_default_engine
+
     schema = _load_schema(args)
     query = _load_query(args)
-    verdict = is_satisfiable(query, schema)
+    engine = get_default_engine()
+    verdict = is_satisfiable(query, schema, engine=engine)
     result: dict = {"satisfiable": verdict}
     if not args.json:
         print("SATISFIABLE" if verdict else "UNSATISFIABLE")
@@ -125,7 +128,7 @@ def cmd_satisfiable(args: argparse.Namespace) -> Outcome:
         from .typing import WitnessError, find_witness
 
         try:
-            witness = find_witness(query, schema)
+            witness = find_witness(query, schema, engine)
         except WitnessError as error:
             result["witness"] = None
             result["witness_error"] = str(error)

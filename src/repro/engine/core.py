@@ -96,7 +96,8 @@ class Engine:
         conforming instance can only realize inhabited child types); it is
         what conformance support checks, the satisfiability word search,
         the trace construction, and the adaptive optimizer all consumed —
-        each building its own copy before this engine existed.
+        each building its own copy before this engine existed.  When no
+        arc is dropped it is the :meth:`content_nfa` object itself.
         """
         key = ("restricted-content-nfa", schema.fingerprint(), tid)
 
@@ -112,24 +113,28 @@ class Engine:
     def inhabited_types(self, schema) -> FrozenSet[str]:
         """Type ids with at least one finite conforming instance."""
         key = ("inhabited", schema.fingerprint())
-
-        def build() -> FrozenSet[str]:
-            from ..schema.model import _compute_inhabited
-
-            return _compute_inhabited(schema, self)
-
-        return self.cache.get_or_compute(key, build)
+        return self.cache.get_or_compute(
+            key, lambda: frozenset(schema.inhabitation_ranks())
+        )
 
     def possible_edges(self, schema):
-        """The schema graph Γ(S): per type, the realizable ``(label, tid)`` pairs."""
+        """The schema graph Γ(S): per type, the realizable ``(label, tid)`` pairs.
+
+        These are the symbols on the live columns of each type's trimmed
+        restricted content table (:meth:`CompiledDFA.live_symbols`).
+        """
         key = ("possible-edges", schema.fingerprint())
-
-        def build():
-            from ..schema.model import _compute_possible_edges
-
-            return _compute_possible_edges(schema, self)
-
-        return self.cache.get_or_compute(key, build)
+        return self.cache.get_or_compute(
+            key,
+            lambda: {
+                t.tid: (
+                    frozenset()
+                    if t.is_atomic
+                    else self.compiled_restricted_content(schema, t.tid).live_symbols()
+                )
+                for t in schema
+            },
+        )
 
     def reachable_types(self, schema) -> FrozenSet[str]:
         """Types reachable from the schema root through Γ(S), computed once."""
@@ -180,12 +185,19 @@ class Engine:
 
         The satisfiability word search runs on this table; the pipeline's
         dead-state pruning means every offered symbol can still complete
-        a content word.
+        a content word.  When the restriction drops no arc (every target
+        is inhabited) this *is* the :meth:`compiled_content` object, not
+        a second identical table.
         """
         key = ("compiled-content-restricted", schema.fingerprint(), tid)
-        return self.cache.get_or_compute(
-            key, lambda: compile_nfa(self.restricted_content_nfa(schema, tid))
-        )
+
+        def build() -> CompiledDFA:
+            restricted = self.restricted_content_nfa(schema, tid)
+            if restricted is self.content_nfa(schema, tid):
+                return self.compiled_content(schema, tid)
+            return compile_nfa(restricted)
+
+        return self.cache.get_or_compute(key, build)
 
     def compiled_trace(self, schema, root_tid: str, arm_count: int) -> CompiledDFA:
         """``Tr(S)`` rooted at ``root_tid``, compiled (Section 3.4)."""

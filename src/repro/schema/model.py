@@ -39,7 +39,12 @@ from typing import (
 
 from ..automata import (
     NFA,
+    Alt,
+    Any,
+    Concat,
+    Epsilon,
     Regex,
+    Star,
     Sym,
     homogeneous_alternatives,
 )
@@ -420,32 +425,28 @@ class Schema:
         self._inhabited_cache = engine.inhabited_types(self)
         return self._inhabited_cache
 
-    def inhabitation_ranks(self, engine: Optional["Engine"] = None) -> Dict[str, int]:
+    def inhabitation_ranks(self) -> Dict[str, int]:
         """Fixpoint round at which each inhabited type gained an instance.
 
         Atomic types have rank 0; a collection type of rank ``r`` accepts
         some content word whose targets all have rank strictly below
-        ``r``.  Useful for constructing *minimal* instances: following
+        ``r`` (each round sees only the types known before it started).
+        Useful for constructing *minimal* instances: following
         rank-decreasing words always terminates.  Uninhabited types are
-        absent from the result.
+        absent from the result, so its keys are :meth:`inhabited_types`.
         """
         ranks: Dict[str, int] = {t.tid: 0 for t in self if t.is_atomic}
-        compiled = {
-            t.tid: self.compile_regex(t.tid, engine) for t in self if not t.is_atomic
-        }
+        pending = [t for t in self if not t.is_atomic]
         round_index = 0
-        changed = True
-        while changed:
-            changed = False
+        while pending:
             round_index += 1
-            known = set(ranks)
-            for type_def in self:
-                if type_def.tid in ranks or type_def.is_atomic:
-                    continue
-                restricted = _restrict_to_targets(compiled[type_def.tid], known)
-                if not restricted.is_empty():
-                    ranks[type_def.tid] = round_index
-                    changed = True
+            known = frozenset(ranks)
+            gained = [t for t in pending if _has_word_over(t.regex, known, self)]
+            if not gained:
+                break
+            for type_def in gained:
+                ranks[type_def.tid] = round_index
+            pending = [t for t in pending if t.tid not in ranks]
         return ranks
 
     def possible_edges(
@@ -491,50 +492,41 @@ class Schema:
         return f"Schema(root={self.root!r}, types={len(self.types)})"
 
 
-def _compute_inhabited(schema: Schema, engine: "Engine") -> FrozenSet[str]:
-    """Least-fixpoint inhabitation check (the body behind ``inhabited_types``)."""
-    inhabited: Set[str] = {t.tid for t in schema if t.is_atomic}
-    compiled = {
-        t.tid: engine.content_nfa(schema, t.tid) for t in schema if not t.is_atomic
-    }
-    changed = True
-    while changed:
-        changed = False
-        for type_def in schema:
-            if type_def.tid in inhabited or type_def.is_atomic:
-                continue
-            restricted = _restrict_to_targets(compiled[type_def.tid], inhabited)
-            if not restricted.is_empty():
-                inhabited.add(type_def.tid)
-                changed = True
-    return frozenset(inhabited)
+def _has_word_over(regex: Regex, targets: FrozenSet[str], schema: Schema) -> bool:
+    """True if ``regex`` accepts some word whose symbols all target ``targets``.
+
+    Decided on the regex structure: a star always has the empty word, a
+    concatenation needs every part, an alternation any part.
+    """
+    if isinstance(regex, Sym):
+        return regex.symbol[1] in targets
+    if isinstance(regex, (Epsilon, Star)):
+        return True
+    if isinstance(regex, Concat):
+        return all(_has_word_over(part, targets, schema) for part in regex.parts)
+    if isinstance(regex, Alt):
+        return any(_has_word_over(part, targets, schema) for part in regex.parts)
+    if isinstance(regex, Any):
+        return any(target in targets for _label, target in schema.symbol_alphabet())
+    return False  # Empty
 
 
-def _compute_possible_edges(
-    schema: Schema, engine: "Engine"
-) -> Dict[str, FrozenSet[Tuple[str, str]]]:
-    """The schema-graph body behind ``possible_edges``."""
-    result: Dict[str, FrozenSet[Tuple[str, str]]] = {}
-    for type_def in schema:
-        if type_def.is_atomic:
-            result[type_def.tid] = frozenset()
-            continue
-        restricted = engine.restricted_content_nfa(schema, type_def.tid)
-        result[type_def.tid] = frozenset(restricted.useful_symbols())
-    return result
+def _restrict_to_targets(nfa: NFA, allowed_targets: FrozenSet[str]) -> NFA:
+    """Drop arcs whose ``(label, tid)`` symbol targets a type outside the set.
 
-
-def _restrict_to_targets(nfa: NFA, allowed_targets: Set[str]) -> NFA:
-    """Drop arcs whose ``(label, tid)`` symbol targets a type outside the set."""
+    Returns ``nfa`` itself when no arc is dropped, so the engine can tell
+    a no-op restriction by identity.
+    """
     from ..automata.nfa import EPS
 
+    def kept(symbol) -> bool:
+        return symbol is EPS or symbol[1] in allowed_targets
+
+    if all(kept(symbol) for arcs in nfa.transitions.values() for symbol, _ in arcs):
+        return nfa
     transitions = {}
     for src, arcs in nfa.transitions.items():
-        kept = [
-            (symbol, dst)
-            for symbol, dst in arcs
-            if symbol is EPS or symbol[1] in allowed_targets
-        ]
-        if kept:
-            transitions[src] = kept
+        remaining = [(symbol, dst) for symbol, dst in arcs if kept(symbol)]
+        if remaining:
+            transitions[src] = remaining
     return NFA(nfa.n_states, nfa.alphabet, nfa.start, nfa.accepting, transitions)

@@ -303,7 +303,7 @@ class ServiceState:
             from ..typing import WitnessError, find_witness
 
             try:
-                witness = find_witness(parse_query(text), entry.schema)
+                witness = find_witness(parse_query(text), entry.schema, entry.engine)
             except WitnessError as error:
                 result["witness"] = None
                 result["witness_error"] = str(error)

@@ -162,8 +162,10 @@ def prewarm(schema: Schema, engine: Engine) -> int:
     object, and the (restricted) content automata of every collection
     type — running the full compile pipeline (NFA → subset → Hopcroft →
     tables) per type up front, so no request pays a first-touch compile.
-    Returns the number of cache entries the engine holds afterwards, so
-    callers can report how much was warmed.
+    Each content model is compiled once: when every target of a type is
+    inhabited its restricted table is the unrestricted one.  Returns the
+    number of cache entries the engine holds afterwards, so callers can
+    report how much was warmed.
     """
     engine.symbol_alphabet(schema)
     engine.inhabited_types(schema)
@@ -171,8 +173,6 @@ def prewarm(schema: Schema, engine: Engine) -> int:
     engine.reach(schema)
     for tid in schema.tids():
         if not schema.type(tid).is_atomic:
-            engine.content_nfa(schema, tid)
-            engine.restricted_content_nfa(schema, tid)
             engine.compiled_content(schema, tid)
             engine.compiled_restricted_content(schema, tid)
     return len(engine.cache)

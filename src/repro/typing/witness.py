@@ -29,12 +29,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..automata.nfa import EPS, NFA
+from ..automata.nfa import EPS
 from ..data.model import DataGraph, Edge, Node, NodeKind
+from ..engine import Engine
 from ..query.model import PatternKind, Query
 from ..schema.model import Schema
 from .grammar import TraceGrammar
-from .reach import SchemaReach
 from .traces import is_marker, trace_product
 
 
@@ -42,18 +42,21 @@ class WitnessError(ValueError):
     """Raised when witness construction is asked for an unsupported form."""
 
 
-def find_witness(query: Query, schema: Schema) -> Optional[DataGraph]:
+def find_witness(
+    query: Query, schema: Schema, engine: Optional[Engine] = None
+) -> Optional[DataGraph]:
     """Build a conforming instance on which the query matches, or None.
 
     Supports join-free queries whose collection definitions are ordered
     and use regex arms (value and value-variable definitions are fine).
+    Every automaton comes from ``engine`` (the default engine when None).
 
     Raises:
         WitnessError: for joins, unordered definitions, or label-variable
             arms (use the general checker for verdicts on those).
     """
     try:
-        grammar = TraceGrammar(query, schema)
+        grammar = TraceGrammar(query, schema, engine)
     except ValueError as error:
         raise WitnessError(str(error)) from error
     if schema.root not in grammar.viable_types(query.root_var):
@@ -71,9 +74,10 @@ class _WitnessBuilder:
         self.query = query
         self.schema = schema
         self.grammar = grammar
-        self.reach = SchemaReach(schema)
+        self.engine = grammar.engine
+        self.reach = grammar.reach
         self.ranks = schema.inhabitation_ranks()
-        self.edges = schema.possible_edges()
+        self.edges = schema.possible_edges(self.engine)
         self.nodes: List[Node] = []
         self._counter = itertools.count(1)
 
@@ -113,7 +117,9 @@ class _WitnessBuilder:
         if not arms:
             return self.minimal_subtree(tid)
         allowed = [self.grammar.viable_types(arm.target) for arm in definition.arms]
-        product = trace_product(self.schema, [tid], arms, allowed, self.reach)
+        product = trace_product(
+            self.schema, [tid], arms, allowed, self.reach, self.engine
+        )
         trace = product.shortest_word()
         if trace is None:
             raise WitnessError(
@@ -237,7 +243,7 @@ class _WitnessBuilder:
     ) -> List[Tuple[str, str]]:
         """A shortest word of the type's content language containing the
         required symbols in order (at distinct, increasing positions)."""
-        nfa = self._restricted(tid)
+        nfa = self.engine.restricted_content_nfa(self.schema, tid)
         start = (nfa.initial_states(), 0)
         # BFS over (state set, progress) recording the word built so far.
         from collections import deque
@@ -272,20 +278,6 @@ class _WitnessBuilder:
             f"cannot embed {required!r} into the content of {tid!r}"
         )
 
-    def _restricted(self, tid: str) -> NFA:
-        nfa = self.schema.compile_regex(tid)
-        inhabited = self.schema.inhabited_types()
-        transitions = {}
-        for src, arcs in nfa.transitions.items():
-            kept = [
-                (symbol, dst)
-                for symbol, dst in arcs
-                if symbol is EPS or symbol[1] in inhabited
-            ]
-            if kept:
-                transitions[src] = kept
-        return NFA(nfa.n_states, nfa.alphabet, nfa.start, nfa.accepting, transitions)
-
     def minimal_subtree(self, tid: str) -> str:
         """A smallest conforming subtree of type ``tid`` (rank-guided)."""
         type_def = self.schema.type(tid)
@@ -309,7 +301,7 @@ class _WitnessBuilder:
 
     def _shortest_low_rank_word(self, tid: str, rank: int) -> List[Tuple[str, str]]:
         """A shortest content word using only targets of lower rank."""
-        nfa = self.schema.compile_regex(tid)
+        nfa = self.engine.content_nfa(self.schema, tid)
         allowed = {t for t, r in self.ranks.items() if r < rank}
         from collections import deque
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..automata.nfa import EPS, NFA
 from ..data.model import DataGraph, Edge, Node, NodeKind
@@ -128,9 +128,9 @@ def random_instance(
         ValueError: if the root type is uninhabited.
     """
     rng = rng or random.Random()
-    if schema.root not in schema.inhabited_types():
+    ranks = schema.inhabitation_ranks()
+    if schema.root not in ranks:
         raise ValueError(f"root type {schema.root!r} is uninhabited")
-    inhabited = schema.inhabited_types()
     counter = itertools.count(1)
     nodes: List[Node] = []
 
@@ -146,7 +146,7 @@ def random_instance(
             )
             return oid
         word = _sample_word(
-            schema, tid, rng, inhabited, star_bias, max_repeat, shortest=depth <= 0
+            schema, tid, rng, ranks, star_bias, max_repeat, shortest=depth <= 0
         )
         edges = []
         for label, child_tid in word:
@@ -170,76 +170,28 @@ def _random_value(atomic: str, rng: random.Random) -> object:
     return round(rng.uniform(0, 10), 3)
 
 
-def _inhabitation_ranks(schema: Schema) -> Dict[str, int]:
-    """Round at which each type became inhabited in the least fixpoint.
-
-    A type of rank ``r`` has a content word all of whose targets have rank
-    strictly below ``r`` — the handle that makes shortest-instance
-    construction terminate on recursive schemas.
-    """
-    ranks: Dict[str, int] = {t.tid: 0 for t in schema if t.is_atomic}
-    compiled = {t.tid: schema.compile_regex(t.tid) for t in schema if not t.is_atomic}
-    round_index = 0
-    changed = True
-    while changed:
-        changed = False
-        round_index += 1
-        known = set(ranks)
-        for type_def in schema:
-            if type_def.tid in ranks or type_def.is_atomic:
-                continue
-            nfa = compiled[type_def.tid]
-            if _accepts_over_targets(nfa, known):
-                ranks[type_def.tid] = round_index
-                changed = True
-    return ranks
-
-
-def _accepts_over_targets(nfa: NFA, targets: Set[str]) -> bool:
-    states = nfa.initial_states()
-    seen = {states}
-    stack = [states]
-    while stack:
-        current = stack.pop()
-        if current & nfa.accepting:
-            return True
-        symbols = set()
-        for q in current:
-            for symbol, _dst in nfa.arcs_from(q):
-                if symbol is not EPS and symbol[1] in targets:
-                    symbols.add(symbol)
-        for symbol in symbols:
-            nxt = nfa.step(current, symbol)
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 def _sample_word(
     schema: Schema,
     tid: str,
     rng: random.Random,
-    inhabited: frozenset,
+    ranks: Dict[str, int],
     star_bias: float,
     max_repeat: int,
     shortest: bool,
 ) -> List[Tuple[str, str]]:
     """Sample a word of the type's content language over inhabited symbols.
 
-    In ``shortest`` mode only symbols targeting strictly lower-rank types
-    are used and the walk heads straight for acceptance, which guarantees
-    termination on recursive schemas.
+    ``ranks`` are the schema's inhabitation ranks (its keys are the
+    inhabited types).  In ``shortest`` mode only symbols targeting
+    strictly lower-rank types are used and the walk heads straight for
+    acceptance, which guarantees termination on recursive schemas.
     """
     nfa = schema.compile_regex(tid)
-    ranks = _inhabitation_ranks(schema)
 
     def allowed(symbol) -> bool:
-        if symbol[1] not in inhabited:
+        if symbol[1] not in ranks:
             return False
-        if shortest:
-            return ranks.get(symbol[1], 10 ** 9) < ranks.get(tid, 10 ** 9)
-        return True
+        return not shortest or ranks[symbol[1]] < ranks.get(tid, 10 ** 9)
 
     def arcs(states):
         result = set()

@@ -11,7 +11,8 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.compiled import compile_nfa
+from repro.automata.compiled import _subset_construct, compile_nfa
+from repro.automata.nfa import EPS, NFA
 
 from repro.automata import (
     EPSILON,
@@ -125,6 +126,78 @@ class TestProducts:
     def test_relabel_identity(self, regex):
         nfa = thompson(regex, ALPHABET)
         assert equivalent(nfa, relabel(nfa, lambda s: s))
+
+
+def random_nfas() -> st.SearchStrategy[NFA]:
+    """Arbitrary NFAs over ALPHABET, ε-cycles and parallel arcs included."""
+
+    def build(n: int) -> st.SearchStrategy[NFA]:
+        states = st.integers(0, n - 1)
+        arc = st.tuples(states, st.sampled_from((EPS,) + ALPHABET), states)
+        return st.builds(
+            _nfa_from_arcs,
+            st.just(n),
+            states,
+            st.frozensets(states),
+            st.lists(arc, max_size=3 * n),
+        )
+
+    return st.integers(1, 8).flatmap(build)
+
+
+def _nfa_from_arcs(n, start, accepting, arcs) -> NFA:
+    transitions = {}
+    for src, symbol, dst in arcs:
+        transitions.setdefault(src, []).append((symbol, dst))
+    return NFA(n, ALPHABET, start, accepting, transitions)
+
+
+def _reference_subset_construct(nfa: NFA):
+    """The subset construction over frozensets, one closure walk per
+    (subset, column) — the pipeline's bitmask version must match it."""
+    profiles = {}
+    for q, arcs in nfa.transitions.items():
+        for s, d in arcs:
+            if s is not EPS:
+                profiles.setdefault(s, []).append((q, d))
+    symbols = tuple(sorted(profiles, key=repr))
+    class_ids, columns, col_arcs = {}, [], []
+    for s in symbols:
+        key = tuple(sorted(profiles[s]))
+        if key not in class_ids:
+            class_ids[key] = len(col_arcs)
+            col_arcs.append(profiles[s])
+        columns.append(class_ids[key])
+    start = nfa.initial_states()
+    ids, order, rows = {start: 0}, [start], []
+    for current in order:  # grows while iterating: BFS discovery order
+        row = []
+        for arcs in col_arcs:
+            moved = {d for q, d in arcs if q in current}
+            if not moved:
+                row.append(-1)
+                continue
+            nxt = nfa.eps_closure(moved)
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row.append(ids[nxt])
+        rows.append(row)
+    accepting = [bool(subset & nfa.accepting) for subset in order]
+    return symbols, tuple(columns), rows, 0, accepting
+
+
+class TestSubsetConstruction:
+    @given(random_nfas())
+    @settings(max_examples=300, deadline=None)
+    def test_bitmask_construction_matches_frozenset_reference(self, nfa):
+        assert _subset_construct(nfa) == _reference_subset_construct(nfa)
+
+    @given(regexes())
+    @settings(max_examples=100, deadline=None)
+    def test_live_symbols_are_the_useful_symbols(self, regex):
+        nfa = thompson(regex, ALPHABET)
+        assert compile_nfa(nfa).live_symbols() == nfa.useful_symbols()
 
 
 class TestBagLanguages:

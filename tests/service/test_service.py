@@ -5,11 +5,13 @@ the deadline/timeout tests boot their own server so abandoned
 computations cannot perturb the shared one's counters.
 """
 
+import json
 import random
 import time
 
 import pytest
 
+from repro.engine import Engine, get_default_engine, set_default_engine
 from repro.query import query_to_string
 from repro.reductions import random_3sat, reduce_formula
 from repro.schema import schema_to_string
@@ -21,6 +23,7 @@ from repro.service import (
     ServiceResponseError,
     TypedQueryService,
 )
+from repro.service.daemon import ServiceState
 
 SCHEMA = """
 DOCUMENT = [(paper -> PAPER)*];
@@ -314,3 +317,25 @@ class TestDeadlineRunner:
         finally:
             release.set()
             holder.join(timeout=5)
+
+
+class TestWitnessEngine:
+    def test_witness_request_compiles_into_the_registered_engine_only(self):
+        previous = set_default_engine(Engine())
+        try:
+            state = ServiceState()
+            status, envelope = state.handle(
+                "POST", "/schemas", json.dumps({"schema": SCHEMA}).encode()
+            )
+            assert status == 200
+            entry = state.registry.get(envelope["result"]["fingerprint"])
+            body = {"fingerprint": entry.fingerprint, "query": QUERY, "witness": True}
+            before = get_default_engine().stats().misses
+            status, envelope = state.handle(
+                "POST", "/satisfiable", json.dumps(body).encode()
+            )
+            assert status == 200
+            assert "paper" in envelope["result"]["witness"]
+            assert get_default_engine().stats().misses == before
+        finally:
+            set_default_engine(previous)

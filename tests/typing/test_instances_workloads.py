@@ -107,3 +107,22 @@ class TestInhabitationRanks:
         ranks = schema.inhabitation_ranks()
         assert "W" not in ranks
         assert set(ranks) == {"R", "U"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A = [x -> B | stop -> S]; B = [y -> A]; S = string",
+            "R = [a -> U | c -> W]; U = string; W = [x -> W]",
+            "A = [x -> B | y -> C]; B = [z -> B]; C = string",
+            "R = [(a -> P)* . b -> Q]; P = [p -> P]; Q = [(q -> R)*]",
+        ],
+    )
+    def test_ranked_types_are_the_inhabited_types(self, text):
+        schema = parse_schema(text)
+        assert frozenset(schema.inhabitation_ranks()) == schema.inhabited_types()
+
+    def test_ranks_are_round_by_round(self):
+        # B is checked after A gains rank 1 in the same round, but a round
+        # only sees the types known before it started: B gets rank 2.
+        schema = parse_schema("A = [s -> S]; B = [y -> A]; S = string")
+        assert schema.inhabitation_ranks() == {"S": 0, "A": 1, "B": 2}
