@@ -27,6 +27,7 @@ hazard.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -35,6 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..cancel import Cancelled, checkpoint
 from ..engine import Engine, EngineArtifact
 from ..schema import Schema
 from .plan import BatchPlan, item_envelope, summarize
@@ -92,36 +94,49 @@ def run_items_shared(
         return []
     workers = min(workers, n)
     if workers <= 1:
-        return [
-            item_envelope(index, operation, schema, engine, item)
-            for index, item in enumerate(items)
-        ]
+        envelopes = []
+        for index, item in enumerate(items):
+            checkpoint()
+            envelopes.append(item_envelope(index, operation, schema, engine, item))
+        return envelopes
 
     results: List[Optional[dict]] = [None] * n
     cursor_lock = threading.Lock()
     cursor = [0]
 
     def drain() -> None:
-        while True:
-            with cursor_lock:
-                index = cursor[0]
-                if index >= n:
-                    return
-                cursor[0] = index + 1
-            results[index] = item_envelope(
-                index, operation, schema, engine, items[index]
-            )
+        try:
+            while True:
+                checkpoint()
+                with cursor_lock:
+                    index = cursor[0]
+                    if index >= n:
+                        return
+                    cursor[0] = index + 1
+                results[index] = item_envelope(
+                    index, operation, schema, engine, items[index]
+                )
+        except Cancelled:
+            return  # the caller's checkpoint below re-raises
 
+    # Each drain thread runs in a copy of the caller's context, so a
+    # cancelled batch stops its items too.
     threads = [
-        threading.Thread(target=drain, daemon=True, name=f"repro-batch-{i}")
+        threading.Thread(
+            target=contextvars.copy_context().run,
+            args=(drain,),
+            daemon=True,
+            name=f"repro-batch-{i}",
+        )
         for i in range(workers)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    # item_envelope never raises, so every slot is filled once the
-    # drain threads exit.
+    checkpoint()
+    # item_envelope raises only Cancelled, so every slot is filled once
+    # the drain threads exit uncancelled.
     return [envelope for envelope in results if envelope is not None]
 
 

@@ -30,6 +30,7 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..automata.nfa import NFA
+from ..cancel import checkpoint
 from ..automata.syntax import Regex
 from ..data.model import AtomicValue, DataGraph
 from ..engine import Engine, get_default_engine
@@ -203,6 +204,7 @@ def _extend(
     index: int,
     binding: Binding,
 ) -> Iterator[Binding]:
+    checkpoint()
     if index == len(defs):
         yield dict(binding)
         return

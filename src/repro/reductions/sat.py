@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from ..cancel import checkpoint
+
 #: A literal: positive ints are variables, negative ints their negations.
 Literal = int
 #: A clause: a tuple of literals (disjunction).
@@ -78,6 +80,7 @@ def dpll(formula: Cnf) -> Optional[Dict[int, bool]]:
     assignment: Dict[int, bool] = {}
 
     def solve(clauses: List[FrozenSet[int]], assignment: Dict[int, bool]) -> Optional[Dict[int, bool]]:
+        checkpoint()
         clauses, assignment = _propagate(clauses, dict(assignment))
         if clauses is None:
             return None

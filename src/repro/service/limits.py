@@ -6,13 +6,14 @@ in disguise.  A production service cannot let one such request pin a
 worker forever.  This module gives every request:
 
 * a **wall-clock deadline** (client-settable per request, clamped to a
-  server maximum).  The decision procedure runs on a detached daemon
-  thread; if the deadline passes, the HTTP worker answers a structured
-  503 ``timeout`` envelope and is immediately reclaimed for new requests.
-  Pure-Python CPU-bound work cannot be cooperatively cancelled, so the
-  detached thread runs to completion in the background — which is why a
-  bounded **slot semaphore** caps how many computations (live or
-  abandoned) may exist at once; when no slot frees up in time the server
+  server maximum).  The decision procedure runs on a daemon thread
+  under a :class:`~repro.cancel.CancelToken`; if the deadline passes,
+  the HTTP worker answers a structured 503 ``timeout`` envelope and is
+  immediately reclaimed for new requests, and the token is cancelled so
+  the computation stops at its next :func:`~repro.cancel.checkpoint`.
+  Until it gets there it still holds its slot: a bounded **slot
+  semaphore** caps how many computations (live or cancelled but not yet
+  stopped) may exist at once; when no slot frees up in time the server
   answers 503 ``busy`` instead of queueing unboundedly.
 * an **input size cap** on request bodies (413 ``payload-too-large``).
 
@@ -26,6 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from ..cancel import CancelToken, cancel_scope
 from .envelope import ServiceError
 
 
@@ -35,7 +37,7 @@ class DeadlineExceeded(ServiceError):
     def __init__(self, deadline_s: float):
         super().__init__(
             f"request exceeded its {deadline_s:g}s deadline; "
-            f"the computation was detached and the worker reclaimed",
+            f"the computation was cancelled and the worker reclaimed",
             code="timeout",
             status=503,
             detail={"deadline_s": deadline_s},
@@ -119,7 +121,7 @@ class ServiceLimits:
 
 
 class DeadlineRunner:
-    """Runs callables under a deadline on detached daemon threads.
+    """Runs callables under a deadline on cancellable daemon threads.
 
     One runner per server; the semaphore is the global computation-slot
     budget.  :meth:`call` either returns the callable's result, re-raises
@@ -140,10 +142,12 @@ class DeadlineRunner:
         box: dict = {}
         done = threading.Event()
         abandoned = threading.Event()
+        token = CancelToken()
 
         def work() -> None:
             try:
-                box["value"] = fn()
+                with cancel_scope(token):
+                    box["value"] = fn()
             except BaseException as exc:  # propagated to the caller below
                 box["error"] = exc
             finally:
@@ -170,6 +174,7 @@ class DeadlineRunner:
                     self._timeouts += 1
                     self._detached += 1
                     abandoned.set()
+                    token.cancel()
                     timed_out = True
         if timed_out:
             raise DeadlineExceeded(deadline_s)

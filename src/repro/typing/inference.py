@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
+from ..cancel import checkpoint
 from ..engine import Engine
 from ..query.model import Query
 from ..schema.model import ATOMIC_TYPE_NAMES, Schema
@@ -98,6 +99,7 @@ def iterate_inferred_types(
             yield from assign(index + 1, pins)
             return
         for value in domain_of(var):
+            checkpoint()
             extended = dict(pins)
             extended[var] = value
             yield from assign(index + 1, extended)

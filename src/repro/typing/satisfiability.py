@@ -49,6 +49,7 @@ from typing import (
 )
 
 from ..automata.compiled import CompiledDFA
+from ..cancel import checkpoint
 from ..automata.syntax import ANY, Regex, Sym
 from ..engine import Engine, get_default_engine
 from ..query.model import PatternDef, PatternKind, Query
@@ -143,6 +144,7 @@ class SatisfiabilityChecker:
             free_vars.append(var)
             domains.append(list(ATOMIC_TYPE_NAMES))
         for combo in itertools.product(*domains):
+            checkpoint()
             self.enumerated += 1
             full_pins = dict(pins)
             full_pins.update(zip(free_vars, combo))
@@ -283,6 +285,7 @@ class _PinnedChecker:
     def _solve_all(self, targets: Sequence[Tuple]) -> bool:
         """Evaluate all target states under least-fixpoint iteration."""
         while True:
+            checkpoint()
             self._memo = {}
             self._in_progress = set()
             self._grew = False
@@ -445,6 +448,7 @@ class _PinnedChecker:
         visited: Set[Tuple] = set()
         stack = [start]
         while stack:
+            checkpoint()
             state, progress, remaining = stack.pop()
             key = (state, progress, remaining)
             if key in visited:
@@ -465,6 +469,8 @@ class _PinnedChecker:
                     continue
                 label, child_tid = symbol
                 for advance, riders in self._placements(defs, progress, remaining, label):
+                    # One state may offer exponentially many placements.
+                    checkpoint()
                     child_reqs: List[Requirement] = []
                     ok = True
                     for spec, arm in advance:
@@ -634,4 +640,7 @@ class _PinnedChecker:
 def _subsets(items: Sequence) -> Iterator[Tuple]:
     """All subsets of ``items`` (small inputs only)."""
     for size in range(len(items) + 1):
-        yield from itertools.combinations(items, size)
+        for subset in itertools.combinations(items, size):
+            # 2^|items| subsets: a 3SAT reduction makes |items| large.
+            checkpoint()
+            yield subset
