@@ -34,59 +34,46 @@ Top-level names are loaded lazily so that the subpackages stay importable
 in isolation.
 """
 
-from importlib import import_module
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
 #: Maps public top-level names to the submodule that defines them.
 _EXPORTS = {
-    "DataGraph": "repro.data",
-    "parse_data": "repro.data",
-    "data_to_string": "repro.data",
-    "from_xml": "repro.data",
-    "to_xml": "repro.data",
-    "Schema": "repro.schema",
-    "parse_schema": "repro.schema",
-    "schema_to_string": "repro.schema",
-    "parse_dtd": "repro.schema",
-    "conforms": "repro.schema",
-    "find_type_assignment": "repro.schema",
-    "Query": "repro.query",
-    "parse_query": "repro.query",
-    "query_to_string": "repro.query",
-    "evaluate": "repro.query",
-    "is_satisfiable": "repro.typing",
-    "check_types": "repro.typing",
-    "check_total_types": "repro.typing",
-    "infer_types": "repro.typing",
-    "classify": "repro.typing",
-    "feedback_query": "repro.apps",
-    "NaiveEvaluator": "repro.apps",
-    "AdaptiveEvaluator": "repro.apps",
-    "TransformQuery": "repro.apps",
-    "parse_transform": "repro.apps",
-    "parse_xmlql": "repro.query",
-    "find_witness": "repro.typing",
-    "subsumes": "repro.schema",
-    "from_json": "repro.data",
-    "to_json": "repro.data",
-    "from_plain_json": "repro.data",
-    "graph_to_dot": "repro.data",
-    "schema_to_dot": "repro.data",
+    "DataGraph": ".data",
+    "parse_data": ".data",
+    "data_to_string": ".data",
+    "from_xml": ".data",
+    "to_xml": ".data",
+    "Schema": ".schema",
+    "parse_schema": ".schema",
+    "schema_to_string": ".schema",
+    "parse_dtd": ".schema",
+    "conforms": ".schema",
+    "find_type_assignment": ".schema",
+    "Query": ".query",
+    "parse_query": ".query",
+    "query_to_string": ".query",
+    "evaluate": ".query",
+    "is_satisfiable": ".typing",
+    "check_types": ".typing",
+    "check_total_types": ".typing",
+    "infer_types": ".typing",
+    "classify": ".typing",
+    "feedback_query": ".apps",
+    "NaiveEvaluator": ".apps",
+    "AdaptiveEvaluator": ".apps",
+    "TransformQuery": ".apps",
+    "parse_transform": ".apps",
+    "parse_xmlql": ".query",
+    "find_witness": ".typing",
+    "subsumes": ".schema",
+    "from_json": ".data",
+    "to_json": ".data",
+    "from_plain_json": ".data",
+    "graph_to_dot": ".data",
+    "schema_to_dot": ".data",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    module = import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return __all__
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -7,89 +7,52 @@ containment, projections, regex extraction, and the unordered (bag)
 language membership test of Section 2.
 """
 
-from .syntax import (
-    ANY,
-    EMPTY,
-    EPSILON,
-    Alt,
-    Any,
-    Concat,
-    Empty,
-    Epsilon,
-    Regex,
-    Star,
-    Sym,
-    Symbol,
-    alt,
-    concat,
-    last_symbols,
-    literal_word,
-    opt,
-    plus,
-    star,
-    sym,
-    word,
-)
-from .nfa import EPS, NFA, thompson
-from .dfa import DFA, determinize
-from .ops import (
-    concat_nfa,
-    equivalent,
-    intersect,
-    is_subset,
-    relabel,
-    to_regex,
-    trim,
-    union,
-)
-from .bag import (
-    bag_accepts,
-    bag_accepts_regex,
-    homogeneous_alternatives,
-    homogeneous_symbol,
-)
-from .parser import parse_regex, parse_regex_string, regex_to_string
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANY",
-    "EMPTY",
-    "EPSILON",
-    "EPS",
-    "Alt",
-    "Any",
-    "Concat",
-    "DFA",
-    "Empty",
-    "Epsilon",
-    "NFA",
-    "Regex",
-    "Star",
-    "Sym",
-    "Symbol",
-    "alt",
-    "bag_accepts",
-    "bag_accepts_regex",
-    "concat",
-    "concat_nfa",
-    "determinize",
-    "equivalent",
-    "homogeneous_alternatives",
-    "homogeneous_symbol",
-    "intersect",
-    "is_subset",
-    "last_symbols",
-    "literal_word",
-    "opt",
-    "parse_regex",
-    "parse_regex_string",
-    "plus",
-    "regex_to_string",
-    "relabel",
-    "star",
-    "sym",
-    "thompson",
-    "to_regex",
-    "trim",
-    "union",
-    "word",
-]
+#: Maps each public name to the submodule that defines it.
+_EXPORTS = {
+    "ANY": ".syntax",
+    "EMPTY": ".syntax",
+    "EPSILON": ".syntax",
+    "Alt": ".syntax",
+    "Any": ".syntax",
+    "Concat": ".syntax",
+    "Empty": ".syntax",
+    "Epsilon": ".syntax",
+    "Regex": ".syntax",
+    "Star": ".syntax",
+    "Sym": ".syntax",
+    "Symbol": ".syntax",
+    "alt": ".syntax",
+    "concat": ".syntax",
+    "last_symbols": ".syntax",
+    "literal_word": ".syntax",
+    "opt": ".syntax",
+    "plus": ".syntax",
+    "star": ".syntax",
+    "sym": ".syntax",
+    "word": ".syntax",
+    "EPS": ".nfa",
+    "NFA": ".nfa",
+    "thompson": ".nfa",
+    "DFA": ".dfa",
+    "determinize": ".dfa",
+    "concat_nfa": ".ops",
+    "equivalent": ".ops",
+    "intersect": ".ops",
+    "is_subset": ".ops",
+    "relabel": ".ops",
+    "to_regex": ".ops",
+    "trim": ".ops",
+    "union": ".ops",
+    "bag_accepts": ".bag",
+    "bag_accepts_regex": ".bag",
+    "homogeneous_alternatives": ".bag",
+    "homogeneous_symbol": ".bag",
+    "parse_regex": ".parser",
+    "parse_regex_string": ".parser",
+    "regex_to_string": ".parser",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

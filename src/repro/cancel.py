@@ -3,10 +3,10 @@
 Theorem 3.1 makes NP-hard requests ordinary input, so the service runs
 every decision under a deadline.  A Python thread cannot be stopped
 from outside; instead the loops that can run long — the satisfiability
-word search, the inference enumerator, query evaluation, DPLL and the
-batch item loop — call :func:`checkpoint`, which raises
-:class:`Cancelled` once the running computation's :class:`CancelToken`
-has been cancelled.
+word search, the inference enumerator, query evaluation, DPLL, the
+witness builder's searches and the batch item loop — call
+:func:`checkpoint`, which raises :class:`Cancelled` once the running
+computation's :class:`CancelToken` has been cancelled.
 
 The token travels in a context variable.  Code that runs outside any
 token (the CLI, the library API) pays one ``ContextVar.get`` per

@@ -44,10 +44,9 @@ import json
 import sys
 from typing import Optional, Tuple
 
-from .data import from_xml, parse_data
-from .query import evaluate, parse_query, query_to_string
-from .schema import find_type_assignment, parse_dtd, parse_schema
-from .typing import check_types, classify, infer_types, is_satisfiable
+# Library imports live in the commands that use them: every command
+# imports this module, and ``repro serve`` should load only its serving
+# path (see "Import layering" in docs/architecture.md).
 
 #: The uniform exit codes (mirrored in the envelope ``meta.exit_code``).
 EXIT_OK = 0
@@ -63,6 +62,8 @@ class UsageError(Exception):
 
 
 def _load_schema(args: argparse.Namespace):
+    from .schema import parse_dtd, parse_schema
+
     if args.dtd:
         with open(args.dtd) as handle:
             return parse_dtd(handle.read(), wrap=bool(getattr(args, "wrap", False)))
@@ -74,15 +75,21 @@ def _load_schema(args: argparse.Namespace):
 
 def _load_data(args: argparse.Namespace):
     if getattr(args, "xml", None):
+        from .data import from_xml
+
         with open(args.xml) as handle:
             return from_xml(handle.read())
     if getattr(args, "data", None):
+        from .data import parse_data
+
         with open(args.data) as handle:
             return parse_data(handle.read())
     raise UsageError("provide --data FILE or --xml FILE")
 
 
 def _load_query(args: argparse.Namespace):
+    from .query import parse_query
+
     with open(args.query) as handle:
         return parse_query(handle.read())
 
@@ -98,6 +105,8 @@ def _add_schema_options(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> Outcome:
+    from .schema import find_type_assignment
+
     schema = _load_schema(args)
     graph = _load_data(args)
     assignment = find_type_assignment(graph, schema)
@@ -115,6 +124,7 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
 
 def cmd_satisfiable(args: argparse.Namespace) -> Outcome:
     from .engine import get_default_engine
+    from .typing import is_satisfiable
 
     schema = _load_schema(args)
     query = _load_query(args)
@@ -143,6 +153,8 @@ def cmd_satisfiable(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_check(args: argparse.Namespace) -> Outcome:
+    from .typing import check_types
+
     schema = _load_schema(args)
     query = _load_query(args)
     try:
@@ -157,6 +169,8 @@ def cmd_check(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_infer(args: argparse.Namespace) -> Outcome:
+    from .typing import infer_types
+
     schema = _load_schema(args)
     query = _load_query(args)
     results = infer_types(query, schema)
@@ -173,6 +187,7 @@ def cmd_infer(args: argparse.Namespace) -> Outcome:
 
 def cmd_feedback(args: argparse.Namespace) -> Outcome:
     from .apps import UnsatisfiableQueryError, feedback_query
+    from .query import query_to_string
 
     schema = _load_schema(args)
     query = _load_query(args)
@@ -193,6 +208,8 @@ def cmd_feedback(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> Outcome:
+    from .query import evaluate
+
     graph = _load_data(args)
     query = _load_query(args)
     results = evaluate(query, graph, limit=args.limit)
@@ -206,7 +223,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outcome:
 def cmd_transform(args: argparse.Namespace) -> Outcome:
     from .apps import check_transformation, infer_output_schema, parse_transform
     from .data import data_to_string
-    from .schema import schema_to_string
+    from .schema import parse_schema, schema_to_string
 
     with open(args.transform) as handle:
         transform = parse_transform(handle.read())
@@ -250,6 +267,8 @@ def cmd_dot(args: argparse.Namespace) -> Outcome:
 def cmd_classify(args: argparse.Namespace) -> Outcome:
     import dataclasses
 
+    from .typing import classify
+
     schema = _load_schema(args)
     query = _load_query(args)
     cell = classify(query, schema)
@@ -267,6 +286,8 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
 
 def _load_schema_file(path: str, wrap: bool):
     """Parse one schema file; ``*.dtd`` parses as DTD, else ScmDL."""
+    from .schema import parse_dtd, parse_schema
+
     with open(path) as handle:
         text = handle.read()
     if path.endswith(".dtd"):
@@ -461,14 +482,14 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
     from .service.registry import prewarm
 
     store = _resolve_store(args, required=True)
-    sources = []  # (label, schema, syntax)
-    for path in args.schemas:
-        with open(path) as handle:
-            text = handle.read()
-        if path.endswith(".dtd"):
-            sources.append((path, parse_dtd(text, wrap=bool(args.wrap)), "dtd"))
-        else:
-            sources.append((path, parse_schema(text), "scmdl"))
+    sources = [  # (label, schema, syntax)
+        (
+            path,
+            _load_schema_file(path, wrap=bool(args.wrap)),
+            "dtd" if path.endswith(".dtd") else "scmdl",
+        )
+        for path in args.schemas
+    ]
     if args.generate:
         from .workloads import schema_corpus
 
@@ -553,7 +574,7 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_serve(args: argparse.Namespace) -> Outcome:
-    from .service import SchemaRegistry, ServiceLimits, serve
+    from .service import ServiceLimits
 
     limits = ServiceLimits(
         default_deadline_s=args.deadline,
@@ -563,7 +584,7 @@ def cmd_serve(args: argparse.Namespace) -> Outcome:
     if args.workers:
         # Pool mode: each worker builds its own registry over the shared
         # store, so the frontend holds no registry at all.
-        from .service.pool import serve_pool
+        from .service import serve_pool
 
         store = _resolve_store(args)
         serve_pool(
@@ -575,6 +596,8 @@ def cmd_serve(args: argparse.Namespace) -> Outcome:
             max_schemas=args.max_schemas,
         )
         return EXIT_OK, {"served": True}
+    from .service import SchemaRegistry, serve
+
     store = _resolve_store(args)
     registry = SchemaRegistry(max_schemas=args.max_schemas, store=store)
     if store is not None and not args.json:

@@ -6,38 +6,30 @@ Provides the graph model (:class:`DataGraph`), the Table-1 textual syntax
 (:func:`from_xml` / :func:`to_xml`).
 """
 
-from .model import (
-    AtomicValue,
-    DataGraph,
-    DataGraphError,
-    Edge,
-    GraphBuilder,
-    Node,
-    NodeKind,
-)
-from .parser import data_to_string, parse_data
-from .xml import XmlElement, XmlError, from_xml, parse_xml, to_xml
-from .dot import graph_to_dot, schema_to_dot
-from .json_bridge import from_json, from_plain_json, to_json
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AtomicValue",
-    "DataGraph",
-    "DataGraphError",
-    "Edge",
-    "GraphBuilder",
-    "Node",
-    "NodeKind",
-    "XmlElement",
-    "XmlError",
-    "data_to_string",
-    "from_json",
-    "from_plain_json",
-    "from_xml",
-    "graph_to_dot",
-    "parse_data",
-    "parse_xml",
-    "schema_to_dot",
-    "to_json",
-    "to_xml",
-]
+#: Maps each public name to the submodule that defines it.
+_EXPORTS = {
+    "AtomicValue": ".model",
+    "DataGraph": ".model",
+    "DataGraphError": ".model",
+    "Edge": ".model",
+    "GraphBuilder": ".model",
+    "Node": ".model",
+    "NodeKind": ".model",
+    "data_to_string": ".parser",
+    "parse_data": ".parser",
+    "XmlElement": ".xml",
+    "XmlError": ".xml",
+    "from_xml": ".xml",
+    "parse_xml": ".xml",
+    "to_xml": ".xml",
+    "graph_to_dot": ".dot",
+    "schema_to_dot": ".dot",
+    "from_json": ".json_bridge",
+    "from_plain_json": ".json_bridge",
+    "to_json": ".json_bridge",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

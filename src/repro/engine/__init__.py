@@ -9,31 +9,26 @@ the constructions behind those keys in a bounded, instrumented
 :func:`get_default_engine`.
 """
 
-from .artifact import ARTIFACT_VERSION, ArtifactError, EngineArtifact, prewarm_schema
-from .cache import CacheStats, EngineCache, KindStats
-from .core import Engine, get_default_engine, set_default_engine
-from .store import (
-    CACHE_DIR_ENV_VAR,
-    DEFAULT_MAX_BYTES,
-    ArtifactStore,
-    default_cache_dir,
-    version_tag,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "ArtifactError",
-    "ArtifactStore",
-    "CACHE_DIR_ENV_VAR",
-    "CacheStats",
-    "DEFAULT_MAX_BYTES",
-    "Engine",
-    "EngineArtifact",
-    "EngineCache",
-    "KindStats",
-    "default_cache_dir",
-    "get_default_engine",
-    "prewarm_schema",
-    "set_default_engine",
-    "version_tag",
-]
+#: Maps each public name to the submodule that defines it.
+_EXPORTS = {
+    "ARTIFACT_VERSION": ".artifact",
+    "ArtifactError": ".artifact",
+    "EngineArtifact": ".artifact",
+    "prewarm_schema": ".artifact",
+    "CacheStats": ".cache",
+    "EngineCache": ".cache",
+    "KindStats": ".cache",
+    "Engine": ".core",
+    "get_default_engine": ".core",
+    "set_default_engine": ".core",
+    "CACHE_DIR_ENV_VAR": ".store",
+    "DEFAULT_MAX_BYTES": ".store",
+    "ArtifactStore": ".store",
+    "default_cache_dir": ".store",
+    "version_tag": ".store",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -6,31 +6,25 @@ Provides the query model and Table-2 classifiers (:class:`Query`,
 (:func:`evaluate`, :func:`satisfies`, :func:`iterate_bindings`).
 """
 
-from .model import (
-    LabelVar,
-    PatternArm,
-    PatternDef,
-    PatternKind,
-    Query,
-    QueryError,
-)
-from .parser import parse_query, query_to_string
-from .eval import Binding, evaluate, iterate_bindings, satisfies
-from .xmlql import XmlqlError, parse_xmlql
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Binding",
-    "LabelVar",
-    "PatternArm",
-    "PatternDef",
-    "PatternKind",
-    "Query",
-    "QueryError",
-    "XmlqlError",
-    "evaluate",
-    "iterate_bindings",
-    "parse_query",
-    "parse_xmlql",
-    "query_to_string",
-    "satisfies",
-]
+#: Maps each public name to the submodule that defines it.
+_EXPORTS = {
+    "LabelVar": ".model",
+    "PatternArm": ".model",
+    "PatternDef": ".model",
+    "PatternKind": ".model",
+    "Query": ".model",
+    "QueryError": ".model",
+    "parse_query": ".parser",
+    "query_to_string": ".parser",
+    "Binding": ".eval",
+    "evaluate": ".eval",
+    "iterate_bindings": ".eval",
+    "satisfies": ".eval",
+    "XmlqlError": ".xmlql",
+    "parse_xmlql": ".xmlql",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -10,96 +10,53 @@ Provides the schema model and classifiers (:class:`Schema`,
 (:func:`analyze_migration`).
 """
 
-from .model import (
-    ATOMIC_TYPE_NAMES,
-    Schema,
-    SchemaError,
-    TypeDef,
-    TypeKind,
-    atomic_matches,
-    atomic_types_overlap,
-)
-from .parser import parse_schema, schema_to_string
-from .dtd import DtdError, parse_dtd, schema_to_dtd
-from .conformance import (
-    candidate_types,
-    conforms,
-    find_type_assignment,
-    verify_assignment,
-)
-from .subsumption import simulation, subsumes
-from .delta import (
-    CHANGE_KINDS,
-    VERDICTS,
-    AddType,
-    ChangeAtomicDomain,
-    ChangeContentModel,
-    ChangeEdgeLabel,
-    ChangeKind,
-    ChangeRoot,
-    DropType,
-    RenameType,
-    SchemaChange,
-    SchemaDelta,
-    compose_verdicts,
-    diff_schemas,
-    separating_word,
-)
-from .migrate import (
-    POLICIES,
-    QUERY_STATUSES,
-    MigrationReport,
-    QueryReport,
-    analyze_migration,
-)
-from .predicates import (
-    LabelPredicate,
-    PredicateSchema,
-    expand_for_data,
-    expand_for_query,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ATOMIC_TYPE_NAMES",
-    "AddType",
-    "CHANGE_KINDS",
-    "ChangeAtomicDomain",
-    "ChangeContentModel",
-    "ChangeEdgeLabel",
-    "ChangeKind",
-    "ChangeRoot",
-    "DropType",
-    "DtdError",
-    "LabelPredicate",
-    "MigrationReport",
-    "POLICIES",
-    "PredicateSchema",
-    "QUERY_STATUSES",
-    "QueryReport",
-    "RenameType",
-    "Schema",
-    "SchemaChange",
-    "SchemaDelta",
-    "SchemaError",
-    "TypeDef",
-    "TypeKind",
-    "VERDICTS",
-    "analyze_migration",
-    "compose_verdicts",
-    "diff_schemas",
-    "expand_for_data",
-    "expand_for_query",
-    "separating_word",
-    "atomic_matches",
-    "atomic_types_overlap",
-    "candidate_types",
-    "conforms",
-    "find_type_assignment",
-    "parse_dtd",
-    "parse_schema",
-    "schema_to_dtd",
-    "schema_to_string",
-    "simulation",
-    "subsumes",
-    "verify_assignment",
-]
+#: Maps each public name to the submodule that defines it.
+_EXPORTS = {
+    "ATOMIC_TYPE_NAMES": ".model",
+    "Schema": ".model",
+    "SchemaError": ".model",
+    "TypeDef": ".model",
+    "TypeKind": ".model",
+    "atomic_matches": ".model",
+    "atomic_types_overlap": ".model",
+    "parse_schema": ".parser",
+    "schema_to_string": ".parser",
+    "DtdError": ".dtd",
+    "parse_dtd": ".dtd",
+    "schema_to_dtd": ".dtd",
+    "candidate_types": ".conformance",
+    "conforms": ".conformance",
+    "find_type_assignment": ".conformance",
+    "verify_assignment": ".conformance",
+    "simulation": ".subsumption",
+    "subsumes": ".subsumption",
+    "CHANGE_KINDS": ".delta",
+    "VERDICTS": ".delta",
+    "AddType": ".delta",
+    "ChangeAtomicDomain": ".delta",
+    "ChangeContentModel": ".delta",
+    "ChangeEdgeLabel": ".delta",
+    "ChangeKind": ".delta",
+    "ChangeRoot": ".delta",
+    "DropType": ".delta",
+    "RenameType": ".delta",
+    "SchemaChange": ".delta",
+    "SchemaDelta": ".delta",
+    "compose_verdicts": ".delta",
+    "diff_schemas": ".delta",
+    "separating_word": ".delta",
+    "POLICIES": ".migrate",
+    "QUERY_STATUSES": ".migrate",
+    "MigrationReport": ".migrate",
+    "QueryReport": ".migrate",
+    "analyze_migration": ".migrate",
+    "LabelPredicate": ".predicates",
+    "PredicateSchema": ".predicates",
+    "expand_for_data": ".predicates",
+    "expand_for_query": ".predicates",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

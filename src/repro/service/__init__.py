@@ -15,53 +15,38 @@ to persistent worker processes warmed from the artifact store — see
 :mod:`repro.service.pool`.
 """
 
-from .client import ServiceClient, ServiceResponseError
-from .daemon import ServiceState, TypedQueryService, serve
-from .pool import CompilerPool, PoolService, WorkerCrashed, serve_pool, shard_of
-from .envelope import (
-    ENVELOPE_VERSION,
-    ERROR_CODES,
-    ServiceError,
-    as_service_error,
-    error_envelope,
-    ok_envelope,
-)
-from .limits import (
-    DeadlineExceeded,
-    DeadlineRunner,
-    PayloadTooLarge,
-    ServiceBusy,
-    ServiceLimits,
-)
-from .metrics import LATENCY_BUCKETS_MS, ServiceMetrics
-from .registry import RegisteredSchema, SchemaRegistry, UnknownSchemaError, prewarm
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENVELOPE_VERSION",
-    "ERROR_CODES",
-    "CompilerPool",
-    "DeadlineExceeded",
-    "DeadlineRunner",
-    "LATENCY_BUCKETS_MS",
-    "PayloadTooLarge",
-    "PoolService",
-    "RegisteredSchema",
-    "SchemaRegistry",
-    "ServiceBusy",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceLimits",
-    "ServiceMetrics",
-    "ServiceResponseError",
-    "ServiceState",
-    "TypedQueryService",
-    "UnknownSchemaError",
-    "WorkerCrashed",
-    "as_service_error",
-    "error_envelope",
-    "ok_envelope",
-    "prewarm",
-    "serve",
-    "serve_pool",
-    "shard_of",
-]
+#: Maps each public name to the submodule that defines it.
+_EXPORTS = {
+    "ServiceClient": ".client",
+    "ServiceResponseError": ".client",
+    "ServiceState": ".daemon",
+    "TypedQueryService": ".daemon",
+    "serve": ".daemon",
+    "CompilerPool": ".pool",
+    "PoolService": ".pool",
+    "WorkerCrashed": ".pool",
+    "serve_pool": ".pool",
+    "shard_of": ".worker",
+    "ENVELOPE_VERSION": ".envelope",
+    "ERROR_CODES": ".envelope",
+    "ServiceError": ".envelope",
+    "as_service_error": ".envelope",
+    "error_envelope": ".envelope",
+    "ok_envelope": ".envelope",
+    "DeadlineExceeded": ".limits",
+    "DeadlineRunner": ".limits",
+    "PayloadTooLarge": ".limits",
+    "ServiceBusy": ".limits",
+    "ServiceLimits": ".limits",
+    "LATENCY_BUCKETS_MS": ".metrics",
+    "ServiceMetrics": ".metrics",
+    "RegisteredSchema": ".registry",
+    "SchemaRegistry": ".registry",
+    "UnknownSchemaError": ".registry",
+    "prewarm": ".registry",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -35,9 +35,15 @@ Endpoints (all bodies and responses are JSON envelopes, see
 
 Every decision endpoint accepts a registered ``fingerprint`` plus the
 query/data payload and an optional per-request ``deadline`` in seconds;
-deadline overruns answer a structured 503 ``timeout`` envelope while the
-abandoned computation finishes on a detached thread (see
+deadline overruns answer a structured 503 ``timeout`` envelope and the
+abandoned computation is cancelled at its next checkpoint (see
 :mod:`repro.service.limits`).
+
+Module-scope imports cover exactly what the default-mix handlers need
+(``/schemas``, ``/satisfiable``, ``/check``, ``/infer``, ``/evaluate``,
+``/validate``), so no such request pays a first import; XML bodies,
+``/classify``, witnesses, ``/feedback``, ``/batch`` and ``/migrate``
+import their code on first use.
 """
 
 from __future__ import annotations
@@ -49,16 +55,17 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..data import from_xml, parse_data
-from ..query import evaluate, parse_query, query_to_string
+from ..data import parse_data
+from ..query import evaluate, parse_query
 from ..schema import find_type_assignment
-from ..typing import check_total_types, check_types, classify, is_satisfiable
+from ..typing import check_total_types, check_types, is_satisfiable
 from ..typing.inference import iterate_inferred_types
 from .envelope import (
     ServiceError,
     as_service_error,
     error_envelope,
     ok_envelope,
+    parse_content_length,
     positive_int_field,
 )
 from .limits import DeadlineRunner, ServiceLimits
@@ -77,32 +84,6 @@ _POST_ENDPOINTS = (
     "evaluate",
     "batch",
 )
-
-
-def parse_content_length(raw: Optional[str]) -> int:
-    """The validated ``Content-Length`` of a request (absent counts as 0).
-
-    A malformed value (``Content-Length: abc``) must answer a structured
-    400, not abort the connection with an uncaught ``ValueError``, and a
-    negative value must never reach ``rfile.read(-1)`` — which reads
-    until EOF and therefore blocks on a keep-alive socket until the peer
-    gives up.  Both the threaded handler and the pool frontend route
-    through here.
-    """
-    if raw is None:
-        return 0
-    try:
-        length = int(raw.strip())
-    except (ValueError, AttributeError):
-        raise ServiceError(
-            f"Content-Length header is not an integer: {raw.strip()!r}",
-            code="bad-request",
-        ) from None
-    if length < 0:
-        raise ServiceError(
-            f"Content-Length header is negative: {length}", code="bad-request"
-        )
-    return length
 
 
 def _require(body: Dict[str, Any], field: str, kind: type = str) -> Any:
@@ -237,6 +218,8 @@ class ServiceState:
 
     def _graph(self, body: Dict[str, Any]):
         if isinstance(body.get("xml"), str):
+            from ..data import from_xml
+
             return from_xml(body["xml"])
         if isinstance(body.get("data"), str):
             return parse_data(body["data"])
@@ -296,21 +279,23 @@ class ServiceState:
                     deadline,
                 )
             ),
+            wait_s=deadline,
         )
         result = {"satisfiable": verdict, "fingerprint": entry.fingerprint}
         if verdict and body.get("witness"):
             from ..data import data_to_string
             from ..typing import WitnessError, find_witness
 
-            try:
-                witness = find_witness(parse_query(text), entry.schema, entry.engine)
-            except WitnessError as error:
-                result["witness"] = None
-                result["witness_error"] = str(error)
-            else:
-                result["witness"] = (
-                    data_to_string(witness) if witness is not None else None
-                )
+            def build_witness() -> dict:
+                try:
+                    witness = find_witness(parse_query(text), entry.schema, entry.engine)
+                except WitnessError as error:
+                    return {"witness": None, "witness_error": str(error)}
+                return {"witness": data_to_string(witness) if witness is not None else None}
+
+            # Witness construction searches the schema's content automata
+            # and can run long: it gets its own deadline-bound slot.
+            result.update(self.runner.call(build_witness, deadline))
         return result
 
     def do_check(self, body: Dict[str, Any]) -> dict:
@@ -365,7 +350,9 @@ class ServiceState:
         # 1.4x because of it.  The full result is pure per entry; memoize.
         result = dict(
             entry.cached_decision(
-                ("infer", text, tuple(sorted(pins.items())), limit), compute
+                ("infer", text, tuple(sorted(pins.items())), limit),
+                compute,
+                wait_s=deadline,
             )
         )
         result["fingerprint"] = entry.fingerprint
@@ -373,6 +360,7 @@ class ServiceState:
 
     def do_feedback(self, body: Dict[str, Any]) -> dict:
         from ..apps import UnsatisfiableQueryError, feedback_query
+        from ..query import query_to_string
 
         entry = self._entry(body)
         query = self._query(body)
@@ -391,6 +379,8 @@ class ServiceState:
         return result
 
     def do_classify(self, body: Dict[str, Any]) -> dict:
+        from ..typing import classify
+
         entry = self._entry(body)
         query = self._query(body)
         cell = classify(query, entry.schema)

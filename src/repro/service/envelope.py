@@ -145,3 +145,29 @@ def as_service_error(exc: BaseException) -> ServiceError:
     return ServiceError(
         f"{type(exc).__name__}: {exc}", code="internal", status=500
     )
+
+
+def parse_content_length(raw: Optional[str]) -> int:
+    """The validated ``Content-Length`` of a request (absent counts as 0).
+
+    A malformed value (``Content-Length: abc``) must answer a structured
+    400, not abort the connection with an uncaught ``ValueError``, and a
+    negative value must never reach ``rfile.read(-1)`` — which reads
+    until EOF and therefore blocks on a keep-alive socket until the peer
+    gives up.  Both the threaded handler and the pool frontend route
+    through here.
+    """
+    if raw is None:
+        return 0
+    try:
+        length = int(raw.strip())
+    except (ValueError, AttributeError):
+        raise ServiceError(
+            f"Content-Length header is not an integer: {raw.strip()!r}",
+            code="bad-request",
+        ) from None
+    if length < 0:
+        raise ServiceError(
+            f"Content-Length header is negative: {length}", code="bad-request"
+        )
+    return length

@@ -59,14 +59,19 @@ import os
 import tempfile
 import threading
 import time
-import zlib
 from http.client import responses as _HTTP_REASONS
 from typing import Any, Dict, List, Optional, Tuple
 
-from .daemon import parse_content_length
-from .envelope import ServiceError, as_service_error, error_envelope, ok_envelope
+from .envelope import (
+    ServiceError,
+    as_service_error,
+    error_envelope,
+    ok_envelope,
+    parse_content_length,
+)
 from .limits import ServiceLimits
 from .metrics import ServiceMetrics
+from .worker import shard_of, worker_main
 
 #: Seconds a freshly spawned worker gets to import, warm its shard, and
 #: answer the ready handshake.
@@ -75,16 +80,6 @@ SPAWN_TIMEOUT_S = 60.0
 #: Grace added to the service's max deadline before the frontend
 #: declares a silent worker wedged (kills and respawns it).
 WORKER_GRACE_S = 30.0
-
-
-def shard_of(fingerprint: str, num_workers: int) -> int:
-    """The home worker index for ``fingerprint``.
-
-    CRC32 rather than ``hash()``: the assignment must be identical in the
-    frontend and in every (separately spawned) worker process, and
-    ``PYTHONHASHSEED`` randomizes ``hash()`` per process.
-    """
-    return zlib.crc32(fingerprint.encode("utf-8")) % num_workers
 
 
 class WorkerCrashed(ServiceError):
@@ -98,93 +93,6 @@ class WorkerCrashed(ServiceError):
             status=503,
             detail={"worker": worker_id, "reason": reason},
         )
-
-
-# ----------------------------------------------------------------------
-# Worker process
-# ----------------------------------------------------------------------
-
-
-def _worker_main(conn, worker_id: int, num_workers: int, config: dict) -> None:
-    """The loop a pool worker runs: recv an op, answer it, repeat.
-
-    Ops (tuples; first element is the op name):
-
-    ``("request", method, path, body)``
-        Dispatch through a full :class:`ServiceState`; replies
-        ``("response", status, payload_bytes)`` — the envelope is
-        JSON-encoded worker-side so N workers serialize in parallel.
-    ``("list",)``   → ``("list", [entry descriptions])``
-    ``("stats",)``  → ``("stats", {... state stats payload ...})``
-    ``("ping", delay_s)`` → ``("pong", pid)`` after sleeping ``delay_s``
-        (liveness probe; the crash tests use the delay to hold the
-        worker mid-request deterministically).
-    ``("shutdown",)`` → ``("bye",)`` and exit.
-    """
-    # Imports are local so ``spawn`` children pay them once, here, and a
-    # traceback during warmup still reaches the handshake below.
-    from ..engine import ArtifactStore
-    from .daemon import ServiceState
-    from .registry import SchemaRegistry
-
-    try:
-        store = None
-        if config.get("store_dir"):
-            store = ArtifactStore(root=config["store_dir"])
-        extras = frozenset(config.get("extra_fingerprints") or ())
-
-        def shard_filter(fingerprint: str) -> bool:
-            return (
-                shard_of(fingerprint, num_workers) == worker_id
-                or fingerprint in extras
-            )
-
-        registry = SchemaRegistry(
-            max_schemas=config.get("max_schemas", 64),
-            engine_max_entries=config.get("engine_max_entries", 4096),
-            store=store,
-            restore_filter=shard_filter,
-        )
-        state = ServiceState(registry=registry, limits=config["limits"])
-    except BaseException as error:  # noqa: BLE001 — surface to the frontend
-        try:
-            conn.send(("failed", f"{type(error).__name__}: {error}"))
-        finally:
-            return
-    conn.send(("ready", os.getpid(), len(registry)))
-
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        op = message[0]
-        try:
-            if op == "request":
-                _, method, path, body = message
-                status, envelope = state.handle(method, path, body)
-                reply = ("response", status, json.dumps(envelope).encode("utf-8"))
-            elif op == "list":
-                reply = ("list", [entry.describe() for entry in registry.entries()])
-            elif op == "stats":
-                payload = state.stats_payload()
-                payload["pid"] = os.getpid()
-                reply = ("stats", payload)
-            elif op == "ping":
-                delay = message[1] if len(message) > 1 else 0.0
-                if delay:
-                    time.sleep(delay)
-                reply = ("pong", os.getpid())
-            elif op == "shutdown":
-                try:
-                    conn.send(("bye",))
-                finally:
-                    break
-            else:
-                reply = ("error", f"unknown worker op {op!r}")
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break  # frontend went away; nothing left to answer
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +192,7 @@ class CompilerPool:
         extras = [fp for fp, idx in self._routing.items() if idx == handle.id]
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=_worker_main,
+            target=worker_main,
             args=(child_conn, handle.id, self.num_workers, self._worker_config(extras)),
             daemon=True,
             name=f"repro-pool-{handle.id}",

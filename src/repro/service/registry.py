@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional
 
 from ..engine import Engine
 from ..schema import Schema, parse_dtd, parse_schema
-from ..schema.migrate import MigrationReport, analyze_migration
 from .envelope import ServiceError
+from .limits import DeadlineExceeded
 
 #: Bound on the per-entry version chain ``GET /schemas/{fp}/history``
 #: serves; older predecessors fall off the front.
@@ -87,31 +87,57 @@ class RegisteredSchema:
     decisions_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    #: Keys whose leader is computing right now; the event is set when
+    #: the leader finishes, successfully or not.
+    decisions_pending: Dict[tuple, threading.Event] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     decision_hits: int = 0
     decision_misses: int = 0
 
-    def cached_decision(self, key: tuple, compute):
+    def cached_decision(self, key: tuple, compute, wait_s: Optional[float] = None):
         """Memoized ``compute()`` keyed by the request tuple ``key``.
 
-        Results are cached only on success (an exception propagates and
-        caches nothing) and treated as immutable by every caller — the
-        daemon shallow-copies before adding per-request fields.  The memo
-        is a bounded LRU (:data:`DECISION_CACHE_SIZE`); hits refresh
-        recency.
+        Single-flight: the first caller of a missing key (the leader)
+        runs ``compute``; callers arriving while it runs wait for its
+        result instead of spending a computation slot on the same answer
+        (they count as hits).  Results are cached only on success: a
+        leader that raises (a timeout included) caches nothing and its
+        error stays its own — one waiting caller becomes the next leader
+        and computes under its own request's deadline.  A waiter gives up
+        with :class:`~repro.service.limits.DeadlineExceeded` once
+        ``wait_s`` seconds pass (``None`` waits as long as it takes).
+
+        Results are treated as immutable by every caller — the daemon
+        shallow-copies before adding per-request fields.  The memo is a
+        bounded LRU (:data:`DECISION_CACHE_SIZE`); hits refresh recency.
         """
-        with self.decisions_lock:
-            if key in self.decisions:
-                self.decisions.move_to_end(key)
-                self.decision_hits += 1
-                return self.decisions[key]
-        value = compute()
-        with self.decisions_lock:
-            if key not in self.decisions:
+        started = time.monotonic()
+        while True:
+            with self.decisions_lock:
+                if key in self.decisions:
+                    self.decisions.move_to_end(key)
+                    self.decision_hits += 1
+                    return self.decisions[key]
+                pending = self.decisions_pending.get(key)
+                if pending is None:
+                    pending = self.decisions_pending[key] = threading.Event()
+                    break
+            remaining = None if wait_s is None else wait_s - (time.monotonic() - started)
+            if not pending.wait(remaining):
+                raise DeadlineExceeded(wait_s)
+        try:
+            value = compute()
+            with self.decisions_lock:
                 self.decision_misses += 1
                 self.decisions[key] = value
-            while len(self.decisions) > DECISION_CACHE_SIZE:
-                self.decisions.popitem(last=False)
-        return value
+                while len(self.decisions) > DECISION_CACHE_SIZE:
+                    self.decisions.popitem(last=False)
+            return value
+        finally:
+            with self.decisions_lock:
+                del self.decisions_pending[key]
+            pending.set()
 
     def describe(self) -> dict:
         """The JSON description ``GET /schemas`` and ``POST /schemas`` return."""
@@ -363,6 +389,8 @@ class SchemaRegistry:
         if not store_hit:
             prewarm(schema, engine)
             engine.persist_to_store(schema, syntax=syntax)
+
+        from ..schema.migrate import analyze_migration
 
         report = analyze_migration(
             current.schema,

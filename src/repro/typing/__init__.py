@@ -8,59 +8,37 @@ Implements the four problems of Section 3 — satisfiability
 (:func:`classify`).
 """
 
-from .satisfiability import (
-    Pins,
-    SatisfiabilityChecker,
-    is_satisfiable,
-)
-from .typecheck import check_total_types, check_types
-from .inference import infer_types, inferred_types_of, iterate_inferred_types
-from .traces import (
-    flat_satisfiable,
-    inferred_marker_types,
-    marker,
-    pattern_trace_nfa,
-    schema_trace_nfa,
-    segment_projection,
-    segment_regex,
-    trace_product,
-)
-from .complexity import (
-    Classification,
-    classify,
-    table2_columns,
-    table2_prediction,
-    table2_rows,
-)
-from .reach import SchemaReach
-from .grammar import NonTerm, TraceGrammar
-from .witness import WitnessError, find_witness
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Classification",
-    "NonTerm",
-    "TraceGrammar",
-    "WitnessError",
-    "find_witness",
-    "Pins",
-    "SatisfiabilityChecker",
-    "SchemaReach",
-    "check_total_types",
-    "check_types",
-    "classify",
-    "flat_satisfiable",
-    "infer_types",
-    "inferred_marker_types",
-    "inferred_types_of",
-    "is_satisfiable",
-    "iterate_inferred_types",
-    "marker",
-    "pattern_trace_nfa",
-    "schema_trace_nfa",
-    "segment_projection",
-    "segment_regex",
-    "table2_columns",
-    "table2_prediction",
-    "table2_rows",
-    "trace_product",
-]
+#: Maps each public name to the submodule that defines it.
+_EXPORTS = {
+    "Pins": ".satisfiability",
+    "SatisfiabilityChecker": ".satisfiability",
+    "is_satisfiable": ".satisfiability",
+    "check_total_types": ".typecheck",
+    "check_types": ".typecheck",
+    "infer_types": ".inference",
+    "inferred_types_of": ".inference",
+    "iterate_inferred_types": ".inference",
+    "flat_satisfiable": ".traces",
+    "inferred_marker_types": ".traces",
+    "marker": ".traces",
+    "pattern_trace_nfa": ".traces",
+    "schema_trace_nfa": ".traces",
+    "segment_projection": ".traces",
+    "segment_regex": ".traces",
+    "trace_product": ".traces",
+    "Classification": ".complexity",
+    "classify": ".complexity",
+    "table2_columns": ".complexity",
+    "table2_prediction": ".complexity",
+    "table2_rows": ".complexity",
+    "SchemaReach": ".reach",
+    "NonTerm": ".grammar",
+    "TraceGrammar": ".grammar",
+    "WitnessError": ".witness",
+    "find_witness": ".witness",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

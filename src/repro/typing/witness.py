@@ -30,6 +30,7 @@ import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..automata.nfa import EPS
+from ..cancel import checkpoint
 from ..data.model import DataGraph, Edge, Node, NodeKind
 from ..engine import Engine
 from ..query.model import PatternKind, Query
@@ -251,6 +252,7 @@ class _WitnessBuilder:
         queue = deque([(start, [])])
         seen = {start}
         while queue:
+            checkpoint()
             (states, progress), word = queue.popleft()
             if progress == len(required) and (states & nfa.accepting):
                 return word
@@ -309,6 +311,7 @@ class _WitnessBuilder:
         queue = deque([(start, [])])
         seen = {start}
         while queue:
+            checkpoint()
             states, word = queue.popleft()
             if states & nfa.accepting:
                 return word

@@ -145,3 +145,45 @@ class TestRunnerCancels:
         )
         assert [envelope["index"] for envelope in results] == [0, 1, 2]
         assert all(envelope["ok"] for envelope in results)
+
+
+class TestWitnessIsDeadlineBound:
+    """``"witness": true`` used to build the witness on the HTTP thread,
+    outside the runner: no deadline, never cancelled."""
+
+    #: ``T``'s content is (a|b)* a (a|b)^13: its shortest conforming word
+    #: sits behind ~2^13 subset states, which the witness builder's
+    #: breadth-first search visits one by one (most of a second here),
+    #: while satisfiability of the query below answers at once.
+    SCHEMA = (
+        "R = [c -> T]; T = [(a -> L | b -> L)* . a -> L . "
+        + " . ".join(["(a -> L | b -> L)"] * 13)
+        + "]; L = string"
+    )
+    QUERY = "SELECT X WHERE Root = [c -> X]"
+
+    def test_witness_past_its_deadline_times_out_and_is_cancelled(self):
+        import json
+
+        from repro.service.daemon import ServiceState
+
+        state = ServiceState()
+
+        def post(path, payload):
+            return state.handle("POST", path, json.dumps(payload).encode())
+
+        status, envelope = post("/schemas", {"schema": self.SCHEMA})
+        assert status == 200, envelope
+        request = {"fingerprint": envelope["result"]["fingerprint"], "query": self.QUERY}
+        # Seed the verdict memo, so the short deadline below is spent on
+        # the witness alone.
+        status, envelope = post("/satisfiable", request)
+        assert status == 200 and envelope["result"]["satisfiable"] is True
+
+        status, envelope = post("/satisfiable", {**request, "witness": True, "deadline": 0.05})
+        assert status == 503, envelope
+        assert envelope["error"]["code"] == "timeout"
+        # The search stopped at a checkpoint well before it would have
+        # finished, and gave its slot back.
+        assert _wait_until_stopped(state.runner, within_s=0.3)
+        assert state.runner.stats()["timeouts"] == 1

@@ -10,10 +10,18 @@ fingerprint), so the registry now memoizes whole decision results per
 entry, bounded LRU.
 """
 
+import sys
+import threading
+import time
+from collections import Counter
+
 import pytest
 
+import repro.service.daemon as daemon_mod
 import repro.service.registry as registry_mod
+from repro.cancel import checkpoint
 from repro.service.daemon import ServiceState
+from repro.service.limits import DeadlineExceeded
 from repro.service.registry import DECISION_CACHE_SIZE, SchemaRegistry
 
 SCHEMA = """
@@ -84,6 +92,130 @@ class TestCachedDecision:
 
     def test_default_bound_is_generous(self):
         assert DECISION_CACHE_SIZE >= 256
+
+
+class TestSingleFlight:
+    """Concurrent identical cold requests used to compute once each,
+    every one holding a computation slot for the same answer."""
+
+    def test_concurrent_callers_of_one_key_compute_once(self, state):
+        entry = state.registry.get(register(state))
+        calls = []
+        release = threading.Event()
+        start = threading.Barrier(8)
+        answers = []
+
+        def compute():
+            calls.append(1)
+            release.wait(5)
+            return "v"
+
+        def caller():
+            start.wait()
+            answers.append(entry.cached_decision(("k",), compute))
+
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.2)  # every caller is in by now: one computing, 7 waiting
+        release.set()
+        for thread in threads:
+            thread.join(5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == ["v"] * 8
+        assert len(calls) == 1
+        assert entry.decision_misses == 1
+        assert entry.decision_hits == 7
+
+    def test_stress_every_key_computes_once(self, state):
+        entry = state.registry.get(register(state))
+        counts = Counter()
+        counts_lock = threading.Lock()
+        wrong = []
+
+        def compute(key):
+            with counts_lock:
+                counts[key] += 1
+            time.sleep(0.001)
+            return key
+
+        def caller():
+            for i in range(100):
+                key = ("s", i % 10)
+                if entry.cached_decision(key, lambda key=key: compute(key)) != key:
+                    wrong.append(key)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert counts == {("s", i): 1 for i in range(10)}
+        assert not entry.decisions_pending
+
+    def test_leader_timeout_does_not_fail_a_longer_follower(self, state, monkeypatch):
+        """The leader's deadline is its own: when it times out, nothing is
+        cached and the waiting follower computes under its deadline."""
+        fp = register(state)
+        entered = threading.Event()
+        real = daemon_mod.is_satisfiable
+
+        def slow(*args):
+            entered.set()
+            end = time.monotonic() + 0.4
+            while time.monotonic() < end:
+                checkpoint()
+                time.sleep(0.005)
+            return real(*args)
+
+        monkeypatch.setattr(daemon_mod, "is_satisfiable", slow)
+        request = {"fingerprint": fp, "query": QUERY}
+        outcomes = {}
+
+        def send(name, deadline):
+            outcomes[name] = state.handle(
+                "POST", "/satisfiable", _body({**request, "deadline": deadline})
+            )
+
+        leader = threading.Thread(target=send, args=("leader", 0.1))
+        leader.start()
+        assert entered.wait(5)
+        follower = threading.Thread(target=send, args=("follower", 10.0))
+        follower.start()
+        leader.join(10)
+        follower.join(10)
+        status, envelope = outcomes["leader"]
+        assert status == 503 and envelope["error"]["code"] == "timeout"
+        status, envelope = outcomes["follower"]
+        assert status == 200, envelope
+        assert envelope["result"]["satisfiable"] is True
+        entry = state.registry.get(fp)
+        assert list(entry.decisions.values()) == [True]
+        assert not entry.decisions_pending
+
+    def test_waiter_gives_up_at_its_own_deadline(self, state):
+        entry = state.registry.get(register(state))
+        release = threading.Event()
+        leader = threading.Thread(
+            target=entry.cached_decision,
+            args=(("k",), lambda: release.wait(5) and "v"),
+        )
+        leader.start()
+        time.sleep(0.05)
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            entry.cached_decision(("k",), lambda: "never", wait_s=0.1)
+        assert time.monotonic() - started < 1.0
+        release.set()
+        leader.join(5)
+        assert entry.cached_decision(("k",), lambda: "never") == "v"
 
 
 class TestEndpointMemoization:
