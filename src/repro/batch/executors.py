@@ -32,12 +32,11 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..cancel import Cancelled, checkpoint
-from ..engine import Engine, EngineArtifact
+from ..engine import Engine
 from ..schema import Schema
 from .plan import BatchPlan, item_envelope, summarize
 
@@ -184,6 +183,8 @@ def _process_init(operation: str, payload) -> None:
                 payload["schema_text"], payload["syntax"], payload["wrap"]
             )
     else:
+        from ..engine import EngineArtifact
+
         artifact = EngineArtifact.from_bytes(payload)
         engine = artifact.install()
         schema = artifact.schema
@@ -221,6 +222,12 @@ def run_items_process(
     method, where initargs would otherwise reach workers by memory
     inheritance and never exercise pickling.)
     """
+    # Imported here: the service's /batch runs the thread executors only
+    # and should not load multiprocessing on its first request.
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..engine import EngineArtifact
+
     schema, engine = plan.compile()
     payload = None
     if schema is not None:

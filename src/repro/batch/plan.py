@@ -28,13 +28,13 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..data import from_xml, parse_data
+from ..data import parse_data
 from ..engine import Engine
 from ..query import evaluate, parse_query
 from ..schema import Schema, find_type_assignment, parse_dtd, parse_schema
 from ..service.envelope import ServiceError, as_service_error, positive_int_field
 from ..service.registry import prewarm
-from ..typing import check_total_types, check_types, classify, is_satisfiable
+from ..typing import check_total_types, check_types, is_satisfiable
 from ..typing.inference import iterate_inferred_types
 
 #: The decision procedures a batch may run, one per plan.
@@ -178,6 +178,8 @@ def _pins_field(item: Dict[str, Any], field: str = "pins") -> Dict[str, str]:
 
 def _graph_field(item: Dict[str, Any]):
     if isinstance(item.get("xml"), str):
+        from ..data import from_xml
+
         return from_xml(item["xml"])
     if isinstance(item.get("data"), str):
         return parse_data(item["data"])
@@ -234,6 +236,8 @@ def _op_infer(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
 
 
 def _op_classify(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
+    from ..typing import classify
+
     cell = classify(parse_query(_string_field(item, "query")), schema)
     result = dataclasses.asdict(cell)
     result["polynomial"] = cell.polynomial
