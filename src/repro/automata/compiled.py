@@ -1,9 +1,8 @@
-"""The compile pipeline: NFA → subset construction → Hopcroft → tables.
+"""The compile pipeline: regex positions → subset → Hopcroft → tables.
 
 Every decision procedure in this reproduction bottoms out in membership,
 product emptiness, or containment questions on automata built from the
-schema and the query.  Thompson NFAs (`repro.automata.nfa`) are the
-construction IR; this module lowers each one into the single automaton
+schema and the query.  This module lowers each automaton into the single
 representation those decisions run on, a :class:`CompiledDFA`:
 
 * the alphabet is *interned* into a dense ``symbol -> id`` table
@@ -12,14 +11,26 @@ representation those decisions run on, a :class:`CompiledDFA`:
   ``-1`` as the explicit dead entry;
 * the accepting set is an integer bitset.
 
-The lowering subset-constructs only the reachable part of the powerset
-automaton, then minimizes with Hopcroft's algorithm.  Minimization runs
-over the construction *plus an implicit sink*, so every state whose
-right language is empty collapses into the sink's block, which is then
-dropped: the resulting table is simultaneously minimal and pruned to
-co-accessible states, and a walk is dead exactly when an entry is
-``-1``.  ``member``, ``product_empty`` and ``is_subset`` are then tight
-index arithmetic over those rows.
+Two front ends feed one back end.  :func:`compile_regex` reads a regex's
+*positions* (its atom and wildcard occurrences) and builds the position
+(Glushkov) automaton's subsets directly: nullable/first/last/follow
+bitmasks, no ε-arcs and nothing to close over.  Schema content models are
+mostly single-occurrence expressions, so this automaton has about one
+state per atom.  :func:`compile_nfa` lowers a Thompson NFA
+(:mod:`repro.automata.nfa`) through an ε-closing subset construction; it
+serves the automata that are not regexes (trace products) and is the
+reference the position route is tested against.  Both split the alphabet
+into the same symbol classes, and the minimal DFA is renumbered
+canonically, so the two routes produce byte-identical tables.
+
+Either front end subset-constructs only the reachable part of the
+powerset automaton, then minimizes with Hopcroft's algorithm.
+Minimization runs over the construction *plus an implicit sink*, so every
+state whose right language is empty collapses into the sink's block,
+which is then dropped: the resulting table is simultaneously minimal and
+pruned to co-accessible states, and a walk is dead exactly when an entry
+is ``-1``.  ``member``, ``product_empty`` and ``is_subset`` are then
+tight index arithmetic over those rows.
 
 Compiled automata are plain data (tuples, arrays, ints), so they pickle
 cheaply; the batch process executor ships them to workers instead of
@@ -45,8 +56,8 @@ from typing import (
     Tuple,
 )
 
-from .nfa import EPS, NFA
-from .syntax import Symbol
+from .nfa import EPS, NFA, check_alphabet
+from .syntax import Alt, Any, Concat, Empty, Epsilon, Regex, Star, Sym, Symbol
 
 #: Version tag embedded in every pickled :class:`CompiledDFA`; bump when
 #: the table layout changes so stale artifacts fail loudly.
@@ -443,6 +454,126 @@ def _eps_closures(nfa: NFA, states: Iterable[int]) -> Dict[int, int]:
 
 
 # ----------------------------------------------------------------------
+# Subset construction straight from regex positions
+# ----------------------------------------------------------------------
+
+
+def _position_subsets(
+    regex: Regex, alphabet: FrozenSet[Symbol], dropped: FrozenSet[Symbol]
+) -> Tuple[Tuple[Symbol, ...], Tuple[int, ...], List[List[int]], int, List[bool]]:
+    """Determinize the position automaton of ``regex``.
+
+    Same contract as :func:`_subset_construct`.  Bit 0 is the initial
+    state and bit ``p`` the ``p``-th atom or wildcard occurrence in
+    pre-order; ``follow[p]`` is the set of positions that can come right
+    after ``p`` in a word (``follow[0]`` is first(regex)).  Atoms whose
+    symbol is in ``dropped`` get no position: they denote the empty
+    language, exactly as deleting their Thompson arcs would.
+
+    A symbol's class is the set of positions it matches — its own atom
+    occurrences plus every wildcard — which is the Thompson route's
+    arc-profile partition, so both routes get the same columns.  A
+    subset's successor on a column is the union of its members' follow
+    sets intersected with the column's positions.
+    """
+    follow: List[int] = [0]
+    matched: Dict[Symbol, int] = {}
+    wildcards = 0
+
+    def link(lasts: int, firsts: int) -> None:
+        while lasts:
+            low = lasts & -lasts
+            lasts ^= low
+            follow[low.bit_length() - 1] |= firsts
+
+    def visit(node: Regex) -> Tuple[bool, int, int]:
+        """(nullable, first, last) of ``node``, linking follow on the way."""
+        nonlocal wildcards
+        kind = type(node)
+        if kind is Sym:
+            symbol = node.symbol
+            if symbol in dropped:
+                return False, 0, 0
+            bit = 1 << len(follow)
+            follow.append(0)
+            matched[symbol] = matched.get(symbol, 0) | bit
+            return False, bit, bit
+        if kind is Concat:
+            nullable, first, last = True, 0, 0
+            for part in node.parts:
+                part_nullable, part_first, part_last = visit(part)
+                if part_first:
+                    link(last, part_first)
+                    if nullable:
+                        first |= part_first
+                last = (last | part_last) if part_nullable else part_last
+                nullable = nullable and part_nullable
+            return nullable, first, last
+        if kind is Alt:
+            nullable, first, last = False, 0, 0
+            for part in node.parts:
+                part_nullable, part_first, part_last = visit(part)
+                nullable = nullable or part_nullable
+                first |= part_first
+                last |= part_last
+            return nullable, first, last
+        if kind is Star:
+            _nullable, first, last = visit(node.inner)
+            link(last, first)
+            return True, first, last
+        if kind is Any:
+            bit = 1 << len(follow)
+            follow.append(0)
+            wildcards |= bit
+            return False, bit, bit
+        if kind is Epsilon:
+            return True, 0, 0
+        if kind is Empty:
+            return False, 0, 0
+        raise TypeError(f"unknown regex node: {node!r}")
+
+    nullable, follow[0], last = visit(regex)
+    if wildcards:
+        for symbol in alphabet:
+            if symbol not in dropped:
+                matched[symbol] = matched.get(symbol, 0) | wildcards
+    symbols = tuple(sorted(matched, key=repr))
+    class_ids: Dict[int, int] = {}
+    columns: List[int] = []
+    for symbol in symbols:
+        columns.append(class_ids.setdefault(matched[symbol], len(class_ids)))
+    column_masks = list(class_ids)
+    ids: Dict[int, int] = {1: 0}
+    order: List[int] = [1]
+    rows: List[List[int]] = []
+    index = 0
+    while index < len(order):
+        members = order[index]
+        reach = 0
+        while members:
+            low = members & -members
+            members ^= low
+            reach |= follow[low.bit_length() - 1]
+        row = []
+        for mask in column_masks:
+            nxt = reach & mask
+            if not nxt:
+                row.append(-1)
+                continue
+            target = ids.get(nxt)
+            if target is None:
+                target = len(order)
+                ids[nxt] = target
+                order.append(nxt)
+            row.append(target)
+        rows.append(row)
+        index += 1
+    accepting_mask = last | nullable
+    accepting = [bool(subset & accepting_mask) for subset in order]
+    return symbols, tuple(columns), rows, 0, accepting
+
+
+# ----------------------------------------------------------------------
 # Hopcroft minimization
 # ----------------------------------------------------------------------
 
@@ -460,60 +591,77 @@ def hopcroft_partition(
     per state; two states share a block iff their right languages are
     equal.  Runs in the classic ``O(n_symbols · n_states · log
     n_states)`` via the smaller-half rule.
-    """
-    if n_states == 0:
-        return []
-    # Inverse transitions: preimage[c][q] = states entering q on c.
-    preimage: List[Dict[int, List[int]]] = [dict() for _ in range(n_symbols)]
-    for q in range(n_states):
-        row = rows[q]
-        for c in range(n_symbols):
-            preimage[c].setdefault(row[c], []).append(q)
 
-    finals = {q for q in range(n_states) if accepting[q]}
-    nonfinals = set(range(n_states)) - finals
-    blocks: List[Set[int]] = [group for group in (finals, nonfinals) if group]
-    block_of = [0] * n_states
-    for bid, group in enumerate(blocks):
-        for q in group:
-            block_of[q] = bid
-    if len(blocks) < 2:
-        return block_of
+    Blocks and preimages are int bitmasks (bit ``q`` for state ``q``), so
+    splitting a block against a splitter's preimage is two mask
+    operations.
+    """
+    finals = 0
+    for q in range(n_states):
+        if accepting[q]:
+            finals |= 1 << q
+    nonfinals = ((1 << n_states) - 1) ^ finals
+    if not finals or not nonfinals:
+        return [0] * n_states
+    block_of = [0 if accepting[q] else 1 for q in range(n_states)]
+    blocks = [finals, nonfinals]
+    # Inverse transitions: preimage[c][q] = states entering q on c.
+    preimage: List[List[int]] = []
+    for column in zip(*rows[:n_states]):
+        pre_c = [0] * n_states
+        bit = 1
+        for target in column:
+            pre_c[target] |= bit
+            bit <<= 1
+        preimage.append(pre_c)
 
     # The worklist holds splitter *blocks*; popping one refines against
     # it on every column (the textbook form of the algorithm).
-    worklist: Set[int] = {0 if len(blocks[0]) <= len(blocks[1]) else 1}
+    worklist: Set[int] = {0 if _size(finals) <= _size(nonfinals) else 1}
     while worklist:
         # The splitter's members may change below; snapshot them.
-        splitter = tuple(blocks[worklist.pop()])
+        splitter = blocks[worklist.pop()]
+        members = []
+        while splitter:
+            low = splitter & -splitter
+            splitter ^= low
+            members.append(low.bit_length() - 1)
         for pre_c in preimage:
-            x: Set[int] = set()
-            for q in splitter:
-                x.update(pre_c.get(q, ()))
-            if not x:
-                continue
+            x = 0
+            for q in members:
+                x |= pre_c[q]
             # Find blocks cut by X and split them.
-            touched: Dict[int, Set[int]] = {}
-            for q in x:
-                touched.setdefault(block_of[q], set()).add(q)
-            for bid, inside in touched.items():
+            touched = set()
+            rest = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                touched.add(block_of[low.bit_length() - 1])
+            for bid in touched:
                 block = blocks[bid]
-                if len(inside) == len(block):
+                inside = block & x
+                if inside == block:
                     continue
-                outside = block - inside
+                outside = block ^ inside
                 # Keep the larger part in place; the smaller becomes new.
-                if len(inside) <= len(outside):
+                if _size(inside) <= _size(outside):
                     new_part, blocks[bid] = inside, outside
                 else:
                     new_part, blocks[bid] = outside, inside
                 new_id = len(blocks)
                 blocks.append(new_part)
-                for q in new_part:
-                    block_of[q] = new_id
+                while new_part:
+                    low = new_part & -new_part
+                    new_part ^= low
+                    block_of[low.bit_length() - 1] = new_id
                 # A pending block's parts both stay pending; otherwise
                 # refining against the smaller part (the new one) suffices.
                 worklist.add(new_id)
     return block_of
+
+
+def _size(mask: int) -> int:
+    return bin(mask).count("1")
 
 
 def _minimize_rows(
@@ -538,43 +686,35 @@ def _minimize_rows(
         [sink if target < 0 else target for target in row] for row in rows
     ]
     total_rows.append([sink] * n_symbols)
-    flags = list(accepting) + [False]
+    flags = list(accepting)
+    flags.append(False)
     block_of = hopcroft_partition(n_states + 1, n_symbols, total_rows, flags)
     dead_block = block_of[sink]
     if block_of[start] == dead_block:
         return 0, -1, array("i"), 0
 
-    # Renumber live blocks in BFS discovery order from the start block.
+    # Renumber live blocks in BFS discovery order from the start block;
+    # each block's transitions are read off one representative state.
     representative: Dict[int, int] = {}
     for q in range(n_states):
         representative.setdefault(block_of[q], q)
-    new_ids: Dict[int, int] = {block_of[start]: 0}
-    queue = deque([block_of[start]])
+    new_ids: Dict[int, int] = {block_of[start]: 0, dead_block: -1}
     order: List[int] = [block_of[start]]
-    while queue:
-        bid = queue.popleft()
-        row = total_rows[representative[bid]]
-        for c in range(n_symbols):
-            target_block = block_of[row[c]]
-            if target_block == dead_block or target_block in new_ids:
-                continue
-            new_ids[target_block] = len(order)
-            order.append(target_block)
-            queue.append(target_block)
+    block_rows: List[List[int]] = []
+    for bid in order:  # grows while it is walked: a BFS queue
+        row = [block_of[target] for target in total_rows[representative[bid]]]
+        for target_block in row:
+            if target_block not in new_ids:
+                new_ids[target_block] = len(order)
+                order.append(target_block)
+        block_rows.append(row)
 
-    n_min = len(order)
-    table = array("i", [-1]) * (n_min * n_symbols)
+    table = array("i", [new_ids[bid] for row in block_rows for bid in row])
     accepting_bits = 0
     for new_id, bid in enumerate(order):
-        row = total_rows[representative[bid]]
-        base = new_id * n_symbols
-        for c in range(n_symbols):
-            target_block = block_of[row[c]]
-            if target_block != dead_block:
-                table[base + c] = new_ids[target_block]
         if flags[representative[bid]]:
             accepting_bits |= 1 << new_id
-    return n_min, 0, table, accepting_bits
+    return len(order), 0, table, accepting_bits
 
 
 # ----------------------------------------------------------------------
@@ -582,9 +722,37 @@ def _minimize_rows(
 # ----------------------------------------------------------------------
 
 
+def compile_regex(
+    regex: Regex,
+    alphabet: Iterable[Symbol],
+    dropped: Iterable[Symbol] = (),
+) -> CompiledDFA:
+    """Lower a regex over ``alphabet`` from its positions: subset →
+    Hopcroft → tables.
+
+    The table equals ``compile_nfa(thompson(regex, alphabet))`` byte for
+    byte; wildcards range over ``alphabet`` and out-of-alphabet atoms
+    raise the same ``ValueError``.  Atoms whose symbol is in ``dropped``
+    denote the empty language — the table of the Thompson NFA with those
+    symbols' arcs deleted (the inhabited restriction of a content model).
+    """
+    alphabet = frozenset(alphabet)
+    check_alphabet(regex, alphabet)
+    return _lower(*_position_subsets(regex, alphabet, frozenset(dropped)))
+
+
 def compile_nfa(nfa: NFA) -> CompiledDFA:
     """Lower an NFA through the full pipeline: subset → Hopcroft → tables."""
-    symbols, columns, rows, start, accepting = _subset_construct(nfa)
+    return _lower(*_subset_construct(nfa))
+
+
+def _lower(
+    symbols: Tuple[Symbol, ...],
+    columns: Tuple[int, ...],
+    rows: List[List[int]],
+    start: int,
+    accepting: List[bool],
+) -> CompiledDFA:
     n_cols = (max(columns) + 1) if columns else 0
     n_states, new_start, table, accepting_bits = _minimize_rows(
         len(rows), n_cols, rows, accepting, start

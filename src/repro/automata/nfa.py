@@ -230,6 +230,14 @@ class _Builder:
         return NFA(self.n_states, self.alphabet, start, accepting, self.transitions)
 
 
+def check_alphabet(regex: Regex, alphabet: FrozenSet[Symbol]) -> None:
+    """Reject atoms outside ``alphabet``, which catches alphabet-mismatch
+    bugs early (every regex compile checks this)."""
+    missing = regex.symbols() - alphabet
+    if missing:
+        raise ValueError(f"regex mentions symbols outside the alphabet: {sorted(map(repr, missing))}")
+
+
 def thompson(regex: Regex, alphabet: Iterable[Symbol]) -> NFA:
     """Compile ``regex`` into an NFA over the given finite alphabet.
 
@@ -238,9 +246,7 @@ def thompson(regex: Regex, alphabet: Iterable[Symbol]) -> NFA:
     alphabet-mismatch bugs early.
     """
     alphabet = frozenset(alphabet)
-    missing = regex.symbols() - alphabet
-    if missing:
-        raise ValueError(f"regex mentions symbols outside the alphabet: {sorted(map(repr, missing))}")
+    check_alphabet(regex, alphabet)
     builder = _Builder(alphabet)
 
     def build(node: Regex) -> Tuple[int, int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from ..lexer import Token, TokenStream
+from ..lexer import Scan, TokenStream, scan
 from .syntax import ANY, EPSILON, Regex, alt, concat, opt, plus, star, sym
 
 #: Signature of an atom factory: receives (label, target_tid_or_None) and
@@ -51,68 +51,89 @@ def parse_regex(
         allow_arrow: accept ``label -> Tid`` atoms (schema regexes).
         allow_wildcard: accept ``_`` (pattern regexes).
     """
+    regex, stream.index = regex_at(
+        stream.scan, stream.index, atom, allow_arrow, allow_wildcard
+    )
+    return regex
 
-    def parse_alt() -> Regex:
-        parts = [parse_seq()]
-        while stream.match("OP", "|"):
-            parts.append(parse_seq())
-        return alt(*parts)
 
-    def parse_seq() -> Regex:
-        parts = [parse_post()]
-        while stream.match("OP", "."):
-            parts.append(parse_post())
-        return concat(*parts)
+def regex_at(
+    tokens: Scan,
+    index: int,
+    atom: AtomFactory = default_atom,
+    allow_arrow: bool = False,
+    allow_wildcard: bool = True,
+) -> Tuple[Regex, int]:
+    """Parse a regex starting at token ``index``; returns it and the index
+    of the first token after it (see :func:`parse_regex`)."""
+    kinds, values = tokens.kinds, tokens.values
 
-    def parse_post() -> Regex:
-        node = parse_atom()
+    def parse_alt(i: int) -> Tuple[Regex, int]:
+        node, i = parse_seq(i)
+        if kinds[i] != "|":
+            return node, i
+        parts = [node]
+        while kinds[i] == "|":
+            node, i = parse_seq(i + 1)
+            parts.append(node)
+        return alt(*parts), i
+
+    def parse_seq(i: int) -> Tuple[Regex, int]:
+        node, i = parse_post(i)
+        if kinds[i] != ".":
+            return node, i
+        parts = [node]
+        while kinds[i] == ".":
+            node, i = parse_post(i + 1)
+            parts.append(node)
+        return concat(*parts), i
+
+    def parse_post(i: int) -> Tuple[Regex, int]:
+        node, i = parse_atom(i)
         while True:
-            if stream.match("OP", "*"):
+            kind = kinds[i]
+            if kind == "*":
                 node = star(node)
-            elif stream.match("OP", "+"):
+            elif kind == "+":
                 node = plus(node)
-            elif stream.match("OP", "?"):
+            elif kind == "?":
                 node = opt(node)
             else:
-                return node
+                return node, i
+            i += 1
 
-    def parse_atom() -> Regex:
-        if stream.match("OP", "("):
-            inner = parse_alt()
-            stream.expect("OP", ")")
-            return inner
-        token = stream.current
-        if token.kind != "IDENT":
-            raise SyntaxError(
-                f"expected regex atom, found {token.kind} {token.value!r} "
-                f"at line {token.line}, column {token.column}"
-            )
-        stream.advance()
-        name = str(token.value)
+    def parse_atom(i: int) -> Tuple[Regex, int]:
+        kind = kinds[i]
+        if kind == "(":
+            inner, i = parse_alt(i + 1)
+            return inner, tokens.skip(i, ")")
+        if kind != "IDENT":
+            raise SyntaxError(f"expected regex atom, found {tokens.found(i)}")
+        name = values[i]
+        arrow = allow_arrow and kinds[i + 1] == "ARROW"
         if name == "eps":
-            return EPSILON
+            return EPSILON, i + 1
         if name == "_":
             if not allow_wildcard:
                 raise SyntaxError(
-                    f"wildcard '_' not allowed here (line {token.line})"
+                    f"wildcard '_' not allowed here (line {tokens.line(i)})"
                 )
-            if allow_arrow and stream.match("ARROW"):
+            if arrow:
                 raise SyntaxError(
                     f"wildcard labels in schema atoms are not supported "
-                    f"(line {token.line})"
+                    f"(line {tokens.line(i)})"
                 )
-            return ANY
-        if allow_arrow and stream.match("ARROW"):
-            target = stream.expect("IDENT")
-            return atom(name, str(target.value))
+            return ANY, i + 1
+        if arrow:
+            return atom(name, tokens.ident(i + 2)), i + 3
         if allow_arrow:
             raise SyntaxError(
                 f"schema atom {name!r} must be of the form label->Tid "
-                f"(line {token.line}, column {token.column})"
+                f"({tokens.where(i)})"
             )
-        return atom(name, None)
+        return atom(name, None), i + 1
 
-    return parse_alt()
+    return parse_alt(index)
 
 
 def parse_regex_string(
@@ -122,14 +143,10 @@ def parse_regex_string(
     allow_wildcard: bool = True,
 ) -> Regex:
     """Parse a complete string as a single regex."""
-    stream = TokenStream(text)
-    regex = parse_regex(stream, atom, allow_arrow, allow_wildcard)
-    if not stream.at_end():
-        token = stream.current
-        raise SyntaxError(
-            f"trailing input after regex: {token.kind} {token.value!r} "
-            f"at line {token.line}, column {token.column}"
-        )
+    tokens = scan(text)
+    regex, index = regex_at(tokens, 0, atom, allow_arrow, allow_wildcard)
+    if tokens.kinds[index] != "EOF":
+        raise SyntaxError(f"trailing input after regex: {tokens.found(index)}")
     return regex
 
 

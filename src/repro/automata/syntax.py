@@ -61,6 +61,14 @@ def _interned(cls: type, key: Tuple, attrs: Tuple[Tuple[str, object], ...]) -> "
     return node
 
 
+#: Initial value of the lazily filled ``symbols()`` memo of interned nodes.
+_NO_SYMBOLS: Tuple[str, object] = ("_symbols", None)
+
+
+def _union_symbols(parts: Sequence["Regex"]) -> FrozenSet[Symbol]:
+    return frozenset(itertools.chain.from_iterable(p.symbols() for p in parts))
+
+
 class Regex:
     """Base class for regular-expression AST nodes.
 
@@ -85,7 +93,11 @@ class Regex:
         raise AttributeError("Regex nodes are immutable")
 
     def symbols(self) -> FrozenSet[Symbol]:
-        """Return the set of concrete atoms occurring in the expression."""
+        """Return the set of concrete atoms occurring in the expression.
+
+        Interned nodes compute it once and keep it (their structure
+        never changes).
+        """
         raise NotImplementedError
 
     def has_wildcard(self) -> bool:
@@ -201,13 +213,15 @@ class Epsilon(Regex):
 class Sym(Regex):
     """A single concrete atom."""
 
-    __slots__ = ("symbol", "_hash", "__weakref__")
+    __slots__ = ("symbol", "_hash", "_symbols", "__weakref__")
 
     def __new__(cls, symbol: Symbol) -> "Sym":
-        return _interned(cls, ("Sym", symbol), (("symbol", symbol),))
+        return _interned(cls, ("Sym", symbol), (("symbol", symbol), _NO_SYMBOLS))
 
     def symbols(self) -> FrozenSet[Symbol]:
-        return frozenset([self.symbol])
+        if self._symbols is None:
+            object.__setattr__(self, "_symbols", frozenset([self.symbol]))
+        return self._symbols
 
     def has_wildcard(self) -> bool:
         return False
@@ -274,14 +288,16 @@ class Any(Regex):
 class Concat(Regex):
     """Concatenation of two or more sub-expressions."""
 
-    __slots__ = ("parts", "_hash", "__weakref__")
+    __slots__ = ("parts", "_hash", "_symbols", "__weakref__")
 
     def __new__(cls, parts: Sequence[Regex]) -> "Concat":
         parts = tuple(parts)
-        return _interned(cls, ("Concat", parts), (("parts", parts),))
+        return _interned(cls, ("Concat", parts), (("parts", parts), _NO_SYMBOLS))
 
     def symbols(self) -> FrozenSet[Symbol]:
-        return frozenset(itertools.chain.from_iterable(p.symbols() for p in self.parts))
+        if self._symbols is None:
+            object.__setattr__(self, "_symbols", _union_symbols(self.parts))
+        return self._symbols
 
     def has_wildcard(self) -> bool:
         return any(p.has_wildcard() for p in self.parts)
@@ -313,14 +329,16 @@ class Concat(Regex):
 class Alt(Regex):
     """Alternation (union) of two or more sub-expressions."""
 
-    __slots__ = ("parts", "_hash", "__weakref__")
+    __slots__ = ("parts", "_hash", "_symbols", "__weakref__")
 
     def __new__(cls, parts: Sequence[Regex]) -> "Alt":
         parts = tuple(parts)
-        return _interned(cls, ("Alt", parts), (("parts", parts),))
+        return _interned(cls, ("Alt", parts), (("parts", parts), _NO_SYMBOLS))
 
     def symbols(self) -> FrozenSet[Symbol]:
-        return frozenset(itertools.chain.from_iterable(p.symbols() for p in self.parts))
+        if self._symbols is None:
+            object.__setattr__(self, "_symbols", _union_symbols(self.parts))
+        return self._symbols
 
     def has_wildcard(self) -> bool:
         return any(p.has_wildcard() for p in self.parts)

@@ -21,58 +21,56 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..lexer import TokenStream
+from ..lexer import Scan, scan
 from .model import DataGraph, Edge, Node, NodeKind
+
+#: Edge-list brackets: opening operator -> (closing operator, node kind).
+_BRACKETS = {"{": ("}", NodeKind.UNORDERED), "[": ("]", NodeKind.ORDERED)}
 
 
 def parse_data(text: str, validate: bool = True) -> DataGraph:
     """Parse a data graph from its textual representation."""
-    stream = TokenStream(text)
+    tokens = scan(text)
+    kinds = tokens.kinds
     nodes: List[Node] = []
-    while not stream.at_end():
-        nodes.append(_parse_definition(stream))
-        if stream.match("OP", ";") is None:
+    i = 0
+    while kinds[i] != "EOF":
+        node, i = _parse_definition(tokens, i)
+        nodes.append(node)
+        if kinds[i] != ";":
             break
-    if not stream.at_end():
-        token = stream.current
-        raise SyntaxError(
-            f"unexpected {token.kind} {token.value!r} at line {token.line}, "
-            f"column {token.column}"
-        )
+        i += 1
+    if kinds[i] != "EOF":
+        raise tokens.unexpected(i)
     return DataGraph(nodes, validate=validate)
 
 
-def _parse_definition(stream: TokenStream) -> Node:
-    oid = str(stream.expect("IDENT").value)
-    stream.expect("OP", "=")
-    if stream.match("OP", "{"):
-        edges = _parse_edges(stream, "}")
-        return Node(oid, NodeKind.UNORDERED, edges=edges)
-    if stream.match("OP", "["):
-        edges = _parse_edges(stream, "]")
-        return Node(oid, NodeKind.ORDERED, edges=edges)
-    token = stream.current
-    if token.kind == "STRING" or token.kind == "NUMBER":
-        stream.advance()
-        return Node(oid, NodeKind.ATOMIC, value=token.value)
-    raise SyntaxError(
-        f"expected node value for {oid!r}, found {token.kind} {token.value!r} "
-        f"at line {token.line}, column {token.column}"
-    )
+def _parse_definition(tokens: Scan, i: int) -> Tuple[Node, int]:
+    kinds, values = tokens.kinds, tokens.values
+    oid = tokens.ident(i)
+    i = tokens.skip(i + 1, "=")
+    bracket = _BRACKETS.get(kinds[i])
+    if bracket is not None:
+        closing, kind = bracket
+        edges, i = _parse_edges(tokens, i + 1, closing)
+        return Node(oid, kind, edges=edges), i
+    if kinds[i] == "STRING" or kinds[i] == "NUMBER":
+        return Node(oid, NodeKind.ATOMIC, value=values[i]), i + 1
+    raise SyntaxError(f"expected node value for {oid!r}, found {tokens.found(i)}")
 
 
-def _parse_edges(stream: TokenStream, closing: str) -> List[Edge]:
+def _parse_edges(tokens: Scan, i: int, closing: str) -> Tuple[List[Edge], int]:
     edges: List[Edge] = []
-    if stream.match("OP", closing):
-        return edges
+    if tokens.kinds[i] == closing:
+        return edges, i + 1
     while True:
-        label = str(stream.expect("IDENT").value)
-        stream.expect("ARROW")
-        target = str(stream.expect("IDENT").value)
-        edges.append(Edge(label, target))
-        if stream.match("OP", closing):
-            return edges
-        stream.expect("OP", ",")
+        label = tokens.ident(i)
+        i = tokens.skip(i + 1, "ARROW")
+        edges.append(Edge(label, tokens.ident(i)))
+        i += 1
+        if tokens.kinds[i] == closing:
+            return edges, i + 1
+        i = tokens.skip(i, ",")
 
 
 def data_to_string(graph: DataGraph, indent: bool = True) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from ..automata.compiled import CompiledDFA, compile_nfa
+from ..automata.compiled import CompiledDFA, compile_nfa, compile_regex
 from ..automata.nfa import NFA, thompson as _thompson
 from ..automata.syntax import Regex, Symbol
 from .cache import CacheStats, EngineCache
@@ -79,15 +79,10 @@ class Engine:
         """The content NFA of collection type ``tid`` over the schema alphabet."""
         key = ("content-nfa", schema.fingerprint(), tid)
 
-        def build() -> NFA:
-            type_def = schema.type(tid)
-            if type_def.regex is None:
-                from ..schema.model import SchemaError
-
-                raise SchemaError(f"type {tid!r} is atomic and has no regex")
-            return _thompson(type_def.regex, self.symbol_alphabet(schema))
-
-        return self.cache.get_or_compute(key, build)
+        return self.cache.get_or_compute(
+            key,
+            lambda: _thompson(_content_regex(schema, tid), self.symbol_alphabet(schema)),
+        )
 
     def restricted_content_nfa(self, schema, tid: str) -> NFA:
         """The content NFA of ``tid`` with arcs to uninhabited targets dropped.
@@ -158,26 +153,28 @@ class Engine:
         return self.cache.get_or_compute(key, build)
 
     # ------------------------------------------------------------------
-    # The compile pipeline (NFA → subset → Hopcroft → tables)
+    # The compile pipeline (regex positions → subset → Hopcroft → tables)
     # ------------------------------------------------------------------
 
     def compiled_path(self, regex: Regex, alphabet: Iterable[Symbol]) -> CompiledDFA:
         """A path regex lowered to a minimized transition table."""
         alphabet = frozenset(alphabet)
         key = ("compiled-path", regex, alphabet)
-        return self.cache.get_or_compute(
-            key, lambda: compile_nfa(self.thompson(regex, alphabet))
-        )
+        return self.cache.get_or_compute(key, lambda: compile_regex(regex, alphabet))
 
     def compiled_content(self, schema, tid: str) -> CompiledDFA:
         """The (unrestricted) content model of ``tid`` as a compiled DFA.
 
         This is the automaton conformance membership and witness runs
-        execute on.
+        execute on.  It is compiled from the regex's positions, not from
+        :meth:`content_nfa`; the table is the same.
         """
         key = ("compiled-content", schema.fingerprint(), tid)
         return self.cache.get_or_compute(
-            key, lambda: compile_nfa(self.content_nfa(schema, tid))
+            key,
+            lambda: compile_regex(
+                _content_regex(schema, tid), self.symbol_alphabet(schema)
+            ),
         )
 
     def compiled_restricted_content(self, schema, tid: str) -> CompiledDFA:
@@ -185,17 +182,23 @@ class Engine:
 
         The satisfiability word search runs on this table; the pipeline's
         dead-state pruning means every offered symbol can still complete
-        a content word.  When the restriction drops no arc (every target
-        is inhabited) this *is* the :meth:`compiled_content` object, not
-        a second identical table.
+        a content word.  Atoms targeting uninhabited types denote the
+        empty language, which yields the table of
+        :meth:`restricted_content_nfa`.  When no atom is dropped (every
+        target is inhabited) this *is* the :meth:`compiled_content`
+        object, not a second identical table.
         """
         key = ("compiled-content-restricted", schema.fingerprint(), tid)
 
         def build() -> CompiledDFA:
-            restricted = self.restricted_content_nfa(schema, tid)
-            if restricted is self.content_nfa(schema, tid):
+            regex = _content_regex(schema, tid)
+            alphabet = self.symbol_alphabet(schema)
+            inhabited = self.inhabited_types(schema)
+            atoms = alphabet if regex.has_wildcard() else regex.symbols()
+            dropped = [symbol for symbol in atoms if symbol[1] not in inhabited]
+            if not dropped:
                 return self.compiled_content(schema, tid)
-            return compile_nfa(restricted)
+            return compile_regex(regex, alphabet, dropped)
 
         return self.cache.get_or_compute(key, build)
 
@@ -257,6 +260,16 @@ class Engine:
 
     def __repr__(self) -> str:
         return f"Engine({self.cache!r})"
+
+
+def _content_regex(schema, tid: str) -> Regex:
+    """The content model of collection type ``tid``."""
+    regex = schema.type(tid).regex
+    if regex is None:
+        from ..schema.model import SchemaError
+
+        raise SchemaError(f"type {tid!r} is atomic and has no regex")
+    return regex
 
 
 #: The process-wide default engine used whenever ``engine=None``.

@@ -26,11 +26,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..automata.compiled import CompiledDFA, compile_nfa
+from ..automata.compiled import CompiledDFA, compile_nfa, compile_regex
 from ..automata.dfa import DFA, determinize
-from ..automata.nfa import NFA, thompson
+from ..automata.nfa import EPS, NFA, thompson
 from ..automata.ops import equivalent, intersect, is_subset, to_regex
-from ..automata.syntax import Regex
+from ..automata.syntax import EMPTY, Alt, Concat, Regex, Star
 from ..data.model import DataGraph
 from ..engine import Engine, set_default_engine
 from ..query.eval import evaluate
@@ -491,12 +491,37 @@ def run_compiled_section(
     checked against the oracles: ``member`` (including after a pickle
     round-trip) against Brzozowski derivatives for every word up to
     ``max_len``; ``is_subset`` and ``product_empty`` against the
-    product-construction answers of :mod:`repro.automata.ops`.
+    product-construction answers of :mod:`repro.automata.ops`.  Each
+    regex is also lowered from its positions (:func:`compile_regex`) —
+    as is, with one symbol dropped, and inside a raw alternation with a
+    dead ``EMPTY`` branch — and every table must equal the Thompson
+    route's (``compile_fn`` of the Thompson NFA, the reference).
     """
     alphabet = DEFAULT_ALPHABET
     found: List[Discrepancy] = []
 
+    def check_routes(regex: Regex) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        dropped = frozenset(alphabet[:1])
+        variants = (
+            ("as is", regex, frozenset()),
+            (f"dropping {sorted(dropped)}", regex, dropped),
+            ("beside a dead branch", Alt((regex, Star(Concat((regex, EMPTY))))), frozenset()),
+        )
+        for label, variant, drop in variants:
+            reference = compile_fn(_drop_arcs(thompson(variant, alphabet), drop))
+            if not _same_table(compile_regex(variant, alphabet, drop), reference):
+                return (
+                    "positions",
+                    f"position-route table differs from the Thompson route ({label})",
+                    {"variant": repr(variant)},
+                )
+        return None
+
     def check_pair(left: Regex, right: Regex) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        for regex in (left, right):
+            routes = check_routes(regex)
+            if routes is not None:
+                return routes
         left_nfa = thompson(left, alphabet)
         right_nfa = thompson(right, alphabet)
         left_dfa = compile_fn(left_nfa)
@@ -569,6 +594,23 @@ def run_compiled_section(
             )
         )
     return found, cases, 0
+
+
+def _drop_arcs(nfa: NFA, dropped: frozenset) -> NFA:
+    """``nfa`` without the arcs on ``dropped`` symbols."""
+    if not dropped:
+        return nfa
+    transitions = {
+        q: [(s, d) for s, d in arcs if s is EPS or s not in dropped]
+        for q, arcs in nfa.transitions.items()
+    }
+    return NFA(nfa.n_states, nfa.alphabet, nfa.start, nfa.accepting, transitions)
+
+
+def _same_table(a: CompiledDFA, b: CompiledDFA) -> bool:
+    return (a.symbols, a.columns, a.n_states, a.start, a.table, a.accepting) == (
+        b.symbols, b.columns, b.n_states, b.start, b.table, b.accepting
+    )
 
 
 # ----------------------------------------------------------------------

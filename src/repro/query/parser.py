@@ -21,11 +21,11 @@ Example (the Abiteboul/Vianu query of Section 2)::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from ..automata.parser import parse_regex, regex_to_string
+from ..automata.parser import regex_at, regex_to_string
 from ..automata.syntax import Regex, sym
-from ..lexer import TokenStream
+from ..lexer import Scan, scan
 from .model import LabelVar, PatternArm, PatternDef, PatternKind, Query
 
 
@@ -35,114 +35,121 @@ def _path_atom(label: str, target: Optional[str]) -> Regex:
     return sym(label)
 
 
+def _keyword(tokens: Scan, i: int, word: str) -> int:
+    if tokens.kinds[i] != "IDENT" or tokens.values[i] != word:
+        raise tokens.expected(i, f"IDENT {word!r}")
+    return i + 1
+
+
 def parse_query(text: str, validate: bool = True) -> Query:
     """Parse a selection query."""
-    stream = TokenStream(text)
-    stream.expect("IDENT", "SELECT")
+    tokens = scan(text)
+    kinds, values = tokens.kinds, tokens.values
+    i = _keyword(tokens, 0, "SELECT")
     select: List[str] = []
     while True:
-        if stream.match("OP", "$"):
-            select.append("$" + str(stream.expect("IDENT").value))
-        elif stream.current.kind == "IDENT" and stream.current.value != "WHERE":
-            select.append(str(stream.advance().value))
+        if kinds[i] == "$":
+            select.append("$" + tokens.ident(i + 1))
+            i += 2
+        elif kinds[i] == "IDENT" and values[i] != "WHERE":
+            select.append(values[i])
+            i += 1
         else:
             break
-        if stream.match("OP", ",") is None:
+        if kinds[i] != ",":
             break
-    stream.expect("IDENT", "WHERE")
+        i += 1
+    i = _keyword(tokens, i, "WHERE")
     patterns: List[PatternDef] = []
-    while not stream.at_end():
-        patterns.append(_parse_pattern_def(stream))
-        if stream.match("OP", ";") is None:
+    while kinds[i] != "EOF":
+        pattern, i = _parse_pattern_def(tokens, i)
+        patterns.append(pattern)
+        if kinds[i] != ";":
             break
-    if not stream.at_end():
-        token = stream.current
-        raise SyntaxError(
-            f"unexpected {token.kind} {token.value!r} at line {token.line}, "
-            f"column {token.column}"
-        )
+        i += 1
+    if kinds[i] != "EOF":
+        raise tokens.unexpected(i)
     return Query(select, patterns, validate=validate)
 
 
-def _parse_pattern_def(stream: TokenStream) -> PatternDef:
-    var = str(stream.expect("IDENT").value)
-    stream.expect("OP", "=")
-    if stream.match("OP", "{"):
-        arms = _parse_arms(stream, "}")
-        return PatternDef(var, PatternKind.UNORDERED, arms=arms)
-    if stream.match("OP", "["):
-        arms, partial = _parse_ordered_arms(stream)
-        return PatternDef(var, PatternKind.ORDERED, arms=arms, partial_order=partial)
-    if stream.match("OP", "$"):
-        name = str(stream.expect("IDENT").value)
-        return PatternDef(var, PatternKind.VALUE_VAR, value_var=name)
-    token = stream.current
-    if token.kind in ("STRING", "NUMBER"):
-        stream.advance()
-        return PatternDef(var, PatternKind.VALUE, value=token.value)
-    raise SyntaxError(
-        f"expected pattern body for {var!r}, found {token.kind} "
-        f"{token.value!r} at line {token.line}, column {token.column}"
-    )
+def _parse_pattern_def(tokens: Scan, i: int) -> Tuple[PatternDef, int]:
+    kinds, values = tokens.kinds, tokens.values
+    var = tokens.ident(i)
+    i = tokens.skip(i + 1, "=")
+    kind = kinds[i]
+    if kind == "{":
+        arms, i = _parse_arms(tokens, i + 1)
+        return PatternDef(var, PatternKind.UNORDERED, arms=arms), i
+    if kind == "[":
+        arms, partial, i = _parse_ordered_arms(tokens, i + 1)
+        return PatternDef(var, PatternKind.ORDERED, arms=arms, partial_order=partial), i
+    if kind == "$":
+        name = tokens.ident(i + 1)
+        return PatternDef(var, PatternKind.VALUE_VAR, value_var=name), i + 2
+    if kind == "STRING" or kind == "NUMBER":
+        return PatternDef(var, PatternKind.VALUE, value=values[i]), i + 1
+    raise SyntaxError(f"expected pattern body for {var!r}, found {tokens.found(i)}")
 
 
-def _parse_ordered_arms(stream):
+def _parse_arm(tokens: Scan, i: int) -> Tuple[PatternArm, int]:
+    """``L -> nodeVar`` where ``L`` is a path regex or a ``$label`` variable."""
+    if tokens.kinds[i] == "$":
+        path = LabelVar(tokens.ident(i + 1))
+        i += 2
+    else:
+        path, i = regex_at(tokens, i, _path_atom, allow_arrow=False, allow_wildcard=True)
+    i = tokens.skip(i, "ARROW")
+    return PatternArm(path, tokens.ident(i)), i + 1
+
+
+def _parse_ordered_arms(tokens: Scan, i: int):
     """Arms of an ordered pattern, optionally followed by a partial order:
     ``[a -> X, b -> Y ; 1 < 0]`` constrains arm 1's first edge before arm
     0's; with the suffix present, only the listed pairs are ordered."""
+    kinds = tokens.kinds
     arms: List[PatternArm] = []
-    partial = None
-    if stream.match("OP", "]"):
-        return arms, partial
+    if kinds[i] == "]":
+        return arms, None, i + 1
     while True:
-        if stream.match("OP", ";"):
-            partial = _parse_order_constraints(stream)
-            stream.expect("OP", "]")
-            return arms, partial
-        if stream.match("OP", "$"):
-            name = str(stream.expect("IDENT").value)
-            path = LabelVar(name)
-        else:
-            path = parse_regex(stream, _path_atom, allow_arrow=False, allow_wildcard=True)
-        stream.expect("ARROW")
-        target = str(stream.expect("IDENT").value)
-        arms.append(PatternArm(path, target))
-        if stream.match("OP", "]"):
-            return arms, partial
-        if stream.current.kind == "OP" and stream.current.value == ";":
-            continue  # the loop head consumes ';' and parses constraints
-        stream.expect("OP", ",")
+        if kinds[i] == ";":
+            partial, i = _parse_order_constraints(tokens, i + 1)
+            return arms, partial, tokens.skip(i, "]")
+        arm, i = _parse_arm(tokens, i)
+        arms.append(arm)
+        if kinds[i] == "]":
+            return arms, None, i + 1
+        if kinds[i] == ";":
+            continue  # the loop head parses the constraints
+        i = tokens.skip(i, ",")
 
 
-def _parse_order_constraints(stream):
+def _parse_order_constraints(tokens: Scan, i: int):
+    kinds, values = tokens.kinds, tokens.values
     pairs = []
-    if stream.current.kind == "OP" and stream.current.value == "]":
-        return tuple(pairs)  # '[...;]': explicitly unconstrained
+    if kinds[i] == "]":
+        return tuple(pairs), i  # '[...;]': explicitly unconstrained
     while True:
-        left = stream.expect("NUMBER")
-        stream.expect("OP", "<")
-        right = stream.expect("NUMBER")
-        pairs.append((int(left.value), int(right.value)))
-        if stream.match("OP", ",") is None:
-            return tuple(pairs)
+        left = values[i]
+        i = tokens.skip(tokens.skip(i, "NUMBER"), "<")
+        right = values[i]
+        i = tokens.skip(i, "NUMBER")
+        pairs.append((int(left), int(right)))
+        if kinds[i] != ",":
+            return tuple(pairs), i
+        i += 1
 
 
-def _parse_arms(stream: TokenStream, closing: str) -> List[PatternArm]:
+def _parse_arms(tokens: Scan, i: int) -> Tuple[List[PatternArm], int]:
+    kinds = tokens.kinds
     arms: List[PatternArm] = []
-    if stream.match("OP", closing):
-        return arms
+    if kinds[i] == "}":
+        return arms, i + 1
     while True:
-        if stream.match("OP", "$"):
-            name = str(stream.expect("IDENT").value)
-            path = LabelVar(name)
-        else:
-            path = parse_regex(stream, _path_atom, allow_arrow=False, allow_wildcard=True)
-        stream.expect("ARROW")
-        target = str(stream.expect("IDENT").value)
-        arms.append(PatternArm(path, target))
-        if stream.match("OP", closing):
-            return arms
-        stream.expect("OP", ",")
+        arm, i = _parse_arm(tokens, i)
+        arms.append(arm)
+        if kinds[i] == "}":
+            return arms, i + 1
+        i = tokens.skip(i, ",")
 
 
 def query_to_string(query: Query, indent: bool = True) -> str:

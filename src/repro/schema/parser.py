@@ -18,11 +18,11 @@ schema of Section 2)::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from ..automata.parser import parse_regex, regex_to_string
+from ..automata.parser import regex_at, regex_to_string
 from ..automata.syntax import EPSILON, Regex, sym
-from ..lexer import TokenStream
+from ..lexer import Scan, scan
 from .model import ATOMIC_TYPE_NAMES, Schema, TypeDef, TypeKind
 
 
@@ -32,46 +32,44 @@ def _schema_atom(label: str, target: Optional[str]) -> Regex:
     return sym((label, target))
 
 
+#: Content brackets: opening operator -> (closing operator, type kind).
+_BRACKETS = {"{": ("}", TypeKind.UNORDERED), "[": ("]", TypeKind.ORDERED)}
+
+
 def parse_schema(text: str, validate: bool = True) -> Schema:
     """Parse a schema from its textual representation."""
-    stream = TokenStream(text)
+    tokens = scan(text)
+    kinds = tokens.kinds
     types: List[TypeDef] = []
-    while not stream.at_end():
-        types.append(_parse_definition(stream))
-        if stream.match("OP", ";") is None:
+    i = 0
+    while kinds[i] != "EOF":
+        type_def, i = _parse_definition(tokens, i)
+        types.append(type_def)
+        if kinds[i] != ";":
             break
-    if not stream.at_end():
-        token = stream.current
-        raise SyntaxError(
-            f"unexpected {token.kind} {token.value!r} at line {token.line}, "
-            f"column {token.column}"
-        )
+        i += 1
+    if kinds[i] != "EOF":
+        raise tokens.unexpected(i)
     return Schema(types, validate=validate)
 
 
-def _parse_definition(stream: TokenStream) -> TypeDef:
-    tid = str(stream.expect("IDENT").value)
-    stream.expect("OP", "=")
-    if stream.match("OP", "{"):
-        if stream.match("OP", "}"):
-            return TypeDef(tid, TypeKind.UNORDERED, regex=EPSILON)
-        regex = parse_regex(stream, _schema_atom, allow_arrow=True, allow_wildcard=False)
-        stream.expect("OP", "}")
-        return TypeDef(tid, TypeKind.UNORDERED, regex=regex)
-    if stream.match("OP", "["):
-        if stream.match("OP", "]"):
-            return TypeDef(tid, TypeKind.ORDERED, regex=EPSILON)
-        regex = parse_regex(stream, _schema_atom, allow_arrow=True, allow_wildcard=False)
-        stream.expect("OP", "]")
-        return TypeDef(tid, TypeKind.ORDERED, regex=regex)
-    token = stream.expect("IDENT")
-    name = str(token.value)
+def _parse_definition(tokens: Scan, i: int) -> Tuple[TypeDef, int]:
+    tid = tokens.ident(i)
+    i = tokens.skip(i + 1, "=")
+    bracket = _BRACKETS.get(tokens.kinds[i])
+    if bracket is not None:
+        closing, kind = bracket
+        if tokens.kinds[i + 1] == closing:
+            return TypeDef(tid, kind, regex=EPSILON), i + 2
+        regex, i = regex_at(tokens, i + 1, _schema_atom, allow_arrow=True, allow_wildcard=False)
+        return TypeDef(tid, kind, regex=regex), tokens.skip(i, closing)
+    name = tokens.ident(i)
     if name not in ATOMIC_TYPE_NAMES:
         raise SyntaxError(
-            f"unknown atomic type {name!r} for {tid!r} at line {token.line} "
+            f"unknown atomic type {name!r} for {tid!r} at line {tokens.line(i)} "
             f"(expected one of {', '.join(ATOMIC_TYPE_NAMES)})"
         )
-    return TypeDef(tid, TypeKind.ATOMIC, atomic=name)
+    return TypeDef(tid, TypeKind.ATOMIC, atomic=name), i + 1
 
 
 def schema_to_string(schema: Schema, indent: bool = True) -> str:

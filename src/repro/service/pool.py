@@ -189,6 +189,11 @@ class CompilerPool:
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         """Start (or restart) ``handle``'s process; blocks until warm."""
+        self._await_ready(handle, *self._start(handle))
+
+    def _start(self, handle: _WorkerHandle):
+        """Start ``handle``'s process; returns it and our pipe end at once,
+        before the worker is warm."""
         extras = [fp for fp, idx in self._routing.items() if idx == handle.id]
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -201,6 +206,11 @@ class CompilerPool:
         # Close our copy of the child end: once the worker dies, writes
         # fail with EPIPE immediately instead of filling a dead buffer.
         child_conn.close()
+        return process, parent_conn
+
+    def _await_ready(self, handle: _WorkerHandle, process, parent_conn) -> None:
+        """Wait up to ``SPAWN_TIMEOUT_S`` for the worker's ready handshake,
+        then attach the process to ``handle``."""
         if not parent_conn.poll(SPAWN_TIMEOUT_S):
             process.terminate()
             raise RuntimeError(f"pool worker {handle.id} never became ready")
@@ -214,8 +224,18 @@ class CompilerPool:
         handle.spawned_at = time.time()
 
     def spawn_all(self) -> None:
-        for handle in self._workers:
-            self._spawn(handle)
+        """Start every worker, then wait for each one's handshake: the
+        workers import and warm their shards in parallel.  If one fails,
+        those not yet attached are stopped before the error propagates."""
+        started = [(handle, *self._start(handle)) for handle in self._workers]
+        for index, (handle, process, conn) in enumerate(started):
+            try:
+                self._await_ready(handle, process, conn)
+            except BaseException:
+                for _handle, other, other_conn in started[index + 1:]:
+                    other.terminate()
+                    other_conn.close()
+                raise
 
     def terminate_all(self, timeout: float = 5.0) -> None:
         """Best-effort worker shutdown: polite op, then SIGTERM, then join.

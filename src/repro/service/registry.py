@@ -185,13 +185,14 @@ def prewarm(schema: Schema, engine: Engine) -> int:
 
     Runs every construction a decision endpoint will need: the symbol
     alphabet, the inhabited-type set, the schema graph, the reachability
-    object, and the (restricted) content automata of every collection
-    type — running the full compile pipeline (NFA → subset → Hopcroft →
-    tables) per type up front, so no request pays a first-touch compile.
-    Each content model is compiled once: when every target of a type is
-    inhabited its restricted table is the unrestricted one.  Returns the
-    number of cache entries the engine holds afterwards, so callers can
-    report how much was warmed.
+    object, and per collection type the content tables (compiled straight
+    from the regex's positions: subset → Hopcroft → tables) and the
+    Thompson content NFAs, unrestricted and restricted, that conformance,
+    witness search, the optimizer and ``Tr(S)`` walk — so no request pays
+    a first-touch compile.  Each content model is compiled once: when
+    every target of a type is inhabited its restricted table (and NFA) is
+    the unrestricted one.  Returns the number of cache entries the engine
+    holds afterwards, so callers can report how much was warmed.
     """
     engine.symbol_alphabet(schema)
     engine.inhabited_types(schema)
@@ -201,6 +202,8 @@ def prewarm(schema: Schema, engine: Engine) -> int:
         if not schema.type(tid).is_atomic:
             engine.compiled_content(schema, tid)
             engine.compiled_restricted_content(schema, tid)
+            engine.content_nfa(schema, tid)
+            engine.restricted_content_nfa(schema, tid)
     return len(engine.cache)
 
 

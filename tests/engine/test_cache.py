@@ -241,5 +241,5 @@ class TestEngineCacheThreadSafety:
         stats = engine.stats()
         by_kind = stats.by_kind
         # Each artifact kind was built at most once per (schema, tid) key.
-        assert by_kind["content-nfa"].misses <= len(schema.tids())
+        assert by_kind["compiled-content"].misses <= len(schema.tids())
         assert stats.hits + stats.misses == stats.calls

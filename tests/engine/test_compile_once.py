@@ -19,13 +19,13 @@ UNINHABITED = "A = [x -> B | y -> C]; B = [z -> B]; C = string"
 
 def _counting_compiles(monkeypatch):
     calls = []
-    original = core.compile_nfa
+    original = core.compile_regex
 
-    def counted(nfa):
-        calls.append(nfa)
-        return original(nfa)
+    def counted(regex, *args):
+        calls.append(regex)
+        return original(regex, *args)
 
-    monkeypatch.setattr(core, "compile_nfa", counted)
+    monkeypatch.setattr(core, "compile_regex", counted)
     return calls
 
 

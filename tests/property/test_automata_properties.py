@@ -11,8 +11,11 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.compiled import _subset_construct, compile_nfa
+import pytest
+
+from repro.automata.compiled import _subset_construct, compile_nfa, compile_regex
 from repro.automata.nfa import EPS, NFA
+from repro.automata.syntax import ANY, EMPTY, Alt, Concat, Star
 
 from repro.automata import (
     EPSILON,
@@ -198,6 +201,64 @@ class TestSubsetConstruction:
     def test_live_symbols_are_the_useful_symbols(self, regex):
         nfa = thompson(regex, ALPHABET)
         assert compile_nfa(nfa).live_symbols() == nfa.useful_symbols()
+
+
+def route_regexes() -> st.SearchStrategy[Regex]:
+    """Regexes with wildcards, ``eps`` and ``EMPTY``, including raw nodes
+    the smart constructors would simplify away (a dead ``EMPTY`` part
+    inside a concatenation, a star of a star)."""
+    atoms = st.sampled_from([sym("a"), sym("b"), sym("c"), EPSILON, ANY, EMPTY])
+    return st.recursive(
+        atoms,
+        lambda children: st.one_of(
+            st.tuples(children, children).map(lambda pair: concat(*pair)),
+            st.tuples(children, children).map(lambda pair: alt(*pair)),
+            children.map(star),
+            children.map(opt),
+            st.tuples(children, children).map(Concat),
+            st.tuples(children, children).map(Alt),
+            children.map(Star),
+        ),
+        max_leaves=8,
+    )
+
+
+def _table(dfa):
+    return (dfa.symbols, dfa.columns, dfa.n_states, dfa.start, dfa.table, dfa.accepting)
+
+
+def _without(nfa: NFA, dropped) -> NFA:
+    transitions = {
+        q: [(s, d) for s, d in arcs if s is EPS or s not in dropped]
+        for q, arcs in nfa.transitions.items()
+    }
+    return NFA(nfa.n_states, nfa.alphabet, nfa.start, nfa.accepting, transitions)
+
+
+class TestPositionRoute:
+    """``compile_regex`` lowers from regex positions; its tables must equal
+    the Thompson route's, which stays the reference."""
+
+    @given(route_regexes(), st.sampled_from([ALPHABET, ALPHABET + ("d",)]))
+    @settings(max_examples=300, deadline=None)
+    def test_tables_equal_the_thompson_route(self, regex, alphabet):
+        reference = compile_nfa(thompson(regex, alphabet))
+        assert _table(compile_regex(regex, alphabet)) == _table(reference)
+
+    @given(route_regexes(), st.sets(st.sampled_from(ALPHABET + ("d",)), max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_dropped_symbols_are_deleted_arcs(self, regex, dropped):
+        alphabet = ALPHABET + ("d",)
+        reference = compile_nfa(_without(thompson(regex, alphabet), dropped))
+        assert _table(compile_regex(regex, alphabet, dropped)) == _table(reference)
+
+    def test_out_of_alphabet_atoms_raise_like_thompson(self):
+        regex = concat(sym("a"), sym("z"))
+        with pytest.raises(ValueError) as position_error:
+            compile_regex(regex, ALPHABET)
+        with pytest.raises(ValueError) as thompson_error:
+            thompson(regex, ALPHABET)
+        assert str(position_error.value) == str(thompson_error.value)
 
 
 class TestBagLanguages:
